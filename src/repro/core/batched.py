@@ -637,13 +637,16 @@ class BatchedKernelRunner:
     pending for the tick.  Requests whose profilers cannot be folded
     (scalar backends, custom hash functions, singleton groups) are fed
     through their own ``observe_array_chunk`` and still count as one
-    dispatch each, so :attr:`dispatches` always equals the number of
-    kernel call chains issued -- the service worker exposes the
-    per-tick ratio in its stats.
+    dispatch each.  A session feeder driving the runner also counts
+    the ``observe_array_chunk`` calls it makes itself for profilers
+    outside the fold (``backend="vectorized"``), so :attr:`dispatches`
+    always equals the number of kernel call chains issued -- the
+    service worker exposes the per-tick ratio in its stats.
     """
 
     def __init__(self) -> None:
-        #: Kernel call chains issued (one per group or solo feed).
+        #: Kernel call chains issued (one per group or solo feed, plus
+        #: one per direct kernel call of a feeder driving the runner).
         self.dispatches = 0
         #: :meth:`dispatch` calls (one per driver tick).
         self.ticks = 0

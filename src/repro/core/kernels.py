@@ -181,6 +181,37 @@ def _dedupe_pairs(pcs: np.ndarray,
     return unique, event_ids
 
 
+def count_pairs(pieces: Sequence[Tuple[np.ndarray, np.ndarray]]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ``(pc, value)`` pairs over *pieces*, with counts.
+
+    Exact counting for the perfect profiler: the pairs of every
+    ``(pcs, values)`` piece of ``uint64`` arrays, sorted ``pc``-major
+    into a ``PAIR_DTYPE`` array, plus each pair's ``int64`` occurrence
+    count.  One ``lexsort`` over the two fields, as in
+    :func:`_dedupe_pairs`; the counts are the run lengths of the sorted
+    pairs, so no per-event tuple-id array is ever built.
+    """
+    pieces = [(pcs, values) for pcs, values in pieces if len(pcs)]
+    if not pieces:
+        return np.empty(0, dtype=PAIR_DTYPE), np.empty(0, dtype=np.int64)
+    pcs = np.concatenate([pcs for pcs, _ in pieces])
+    values = np.concatenate([values for _, values in pieces])
+    order = np.lexsort((values, pcs))
+    # Rebinding frees each unsorted field once it is gathered.
+    pcs = pcs[order]
+    values = values[order]
+    starts = np.empty(len(pcs), dtype=bool)
+    starts[0] = True
+    np.logical_or(pcs[1:] != pcs[:-1], values[1:] != values[:-1],
+                  out=starts[1:])
+    firsts = np.flatnonzero(starts)
+    unique = np.empty(len(firsts), dtype=PAIR_DTYPE)
+    unique["p"] = pcs[firsts]
+    unique["v"] = values[firsts]
+    return unique, np.diff(firsts, append=len(pcs))
+
+
 def _stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(order, keys[order])`` for a stable sort of non-negative *keys*.
 

@@ -16,9 +16,10 @@ Two execution paths produce identical results (tested):
 * the **chunked path** accepts array-chunk sources (stream generators,
   traces), pre-hashes whole chunks vectorized, drives the profilers'
   ``observe_chunk`` fast loops, and derives ground truth per interval
-  with one ``numpy.unique`` instead of a per-event dictionary.  This is
-  roughly an order of magnitude faster and makes the paper's
-  million-event intervals practical in pure Python.
+  with one pair sort (:func:`~repro.core.kernels.count_pairs`) instead
+  of a per-event dictionary.  This is roughly an order of magnitude
+  faster and makes the paper's million-event intervals practical in
+  pure Python.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from ..core.base import HardwareProfiler, IntervalProfile
 from ..core.batched import BatchedKernelRunner
 from ..core.config import IntervalSpec, ProfilerConfig
 from ..core.hashing import TupleHashFunction
+from ..core.kernels import PAIR_DTYPE, count_pairs
 from ..core.multi_hash import MultiHashProfiler, build_profiler
 from ..core.perfect import PerfectProfiler
 from ..core.single_hash import SingleHashProfiler
@@ -45,9 +47,6 @@ ConfigOrProfiler = Union[ProfilerConfig, HardwareProfiler]
 
 #: Events processed per vectorized chunk.
 CHUNK_EVENTS = 1 << 16
-
-#: Structured dtype giving tuples a total order for ``numpy.unique``.
-_PAIR_DTYPE = np.dtype([("p", np.uint64), ("v", np.uint64)])
 
 
 @dataclass
@@ -376,12 +375,13 @@ class SessionFeeder:
         return closed
 
     def _observe_piece(self, pcs: np.ndarray, values: np.ndarray) -> None:
-        requests = self._piece_requests(pcs, values)
+        requests = self._piece_requests(pcs, values, self.runner)
         if requests:
             self.runner.dispatch(requests)
         self._account_piece(pcs, values)
 
-    def _piece_requests(self, pcs: np.ndarray, values: np.ndarray
+    def _piece_requests(self, pcs: np.ndarray, values: np.ndarray,
+                        runner: BatchedKernelRunner
                         ) -> List[Tuple[HardwareProfiler,
                                         np.ndarray, np.ndarray]]:
         """Feed every non-batched profiler; return the batch requests.
@@ -390,7 +390,8 @@ class SessionFeeder:
         their ``(profiler, pcs, values)`` requests are returned so the
         caller can fold them (with other tenants' requests, see
         :func:`feed_many`) into one
-        :meth:`BatchedKernelRunner.dispatch`.
+        :meth:`BatchedKernelRunner.dispatch`.  Each kernel call made
+        here counts as one of *runner*'s dispatches.
         """
         requests: List[Tuple[HardwareProfiler,
                              np.ndarray, np.ndarray]] = []
@@ -404,6 +405,7 @@ class SessionFeeder:
                 # Kernel-backed profilers consume the arrays natively;
                 # no per-event tuple list is ever materialized.
                 profiler.observe_array_chunk(pcs, values)
+                runner.dispatches += 1
                 continue
             if events is None:
                 events = list(zip(pcs.tolist(), values.tolist()))
@@ -547,7 +549,7 @@ def feed_many(items: Sequence[Tuple["SessionFeeder",
             piece = (pcs[offset:offset + take],
                      values[offset:offset + take])
             offsets[position] = offset + take
-            requests.extend(feeder._piece_requests(*piece))
+            requests.extend(feeder._piece_requests(*piece, runner))
             round_pieces.append((position, feeder, piece))
         if not round_pieces:
             return closed
@@ -574,13 +576,13 @@ class _IntervalTruth:
         self._unique = unique
         self._counts = counts
         over = counts >= threshold
-        self.candidates: Dict[ProfileTuple, int] = {
-            (int(pair["p"]), int(pair["v"])): int(count)
-            for pair, count in zip(unique[over], counts[over])}
+        self.candidates: Dict[ProfileTuple, int] = dict(zip(
+            zip(unique["p"][over].tolist(), unique["v"][over].tolist()),
+            counts[over].tolist()))
 
     def lookup(self, event: ProfileTuple) -> int:
         """Exact count of *event* in the interval (0 if absent)."""
-        key = np.zeros((), dtype=_PAIR_DTYPE)
+        key = np.zeros((), dtype=PAIR_DTYPE)
         key["p"], key["v"] = event
         position = int(np.searchsorted(self._unique, key))
         if (position < len(self._unique)
@@ -600,15 +602,9 @@ class _IntervalTruth:
 
 def _interval_truth(pieces: List[Tuple[np.ndarray, np.ndarray]],
                     threshold: int) -> Tuple[_IntervalTruth, int]:
-    """Exact per-interval counting via one sort (``numpy.unique``)."""
-    total = sum(len(pcs) for pcs, _ in pieces)
-    structured = np.empty(total, dtype=_PAIR_DTYPE)
-    cursor = 0
-    for pcs, values in pieces:
-        structured["p"][cursor:cursor + len(pcs)] = pcs
-        structured["v"][cursor:cursor + len(pcs)] = values
-        cursor += len(pcs)
-    unique, counts = np.unique(structured, return_counts=True)
+    """Exact per-interval counting via one pair sort
+    (:func:`~repro.core.kernels.count_pairs`)."""
+    unique, counts = count_pairs(pieces)
     return _IntervalTruth(unique, counts, threshold), len(unique)
 
 

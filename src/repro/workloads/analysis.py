@@ -8,8 +8,9 @@ profiler, using exact per-interval counting:
 * percentage change of the candidate set between consecutive intervals
   (Figure 6).
 
-Counting is vectorized (one ``numpy.unique`` per interval), so the
-1 M-event intervals of the paper are practical.
+Counting is vectorized (one pair sort per interval, see
+:func:`~repro.core.kernels.count_pairs`), so the 1 M-event intervals of
+the paper are practical.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..core.kernels import count_pairs
 from ..core.tuples import ProfileTuple
 from .generators import TupleStreamGenerator
-
-_PAIR_DTYPE = np.dtype([("p", np.uint64), ("v", np.uint64)])
 
 #: Chunk size for interval assembly.
 _CHUNK = 1 << 16
@@ -95,15 +95,13 @@ def interval_statistics(generator: TupleStreamGenerator,
 def _count_interval(generator: TupleStreamGenerator,
                     interval_length: int
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    structured = np.empty(interval_length, dtype=_PAIR_DTYPE)
+    pieces = []
     cursor = 0
     while cursor < interval_length:
         take = min(_CHUNK, interval_length - cursor)
-        pcs, values = generator.chunk(take)
-        structured["p"][cursor:cursor + take] = pcs
-        structured["v"][cursor:cursor + take] = values
+        pieces.append(generator.chunk(take))
         cursor += take
-    return np.unique(structured, return_counts=True)
+    return count_pairs(pieces)
 
 
 def candidate_variation(candidate_sets: Sequence[Set[ProfileTuple]]

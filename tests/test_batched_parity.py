@@ -322,6 +322,30 @@ def test_worker_fold_is_one_tick_and_matches_scalar():
             [100.0 * value for value in direct.summary.series()]
 
 
+def test_worker_counts_vectorized_kernel_calls():
+    """Vectorized tenants are fed one kernel call each, outside the
+    fold; the stats count those calls as dispatches too."""
+    spec = IntervalSpec(length=2_000, threshold=0.01)
+    config = ProfilerConfig(interval=spec, total_entries=256,
+                            backend="vectorized")
+    worker = _Worker(0, snapshot_intervals=8)
+    streams = [f"tenant-{position}" for position in range(5)]
+    messages = []
+    for position, stream in enumerate(streams):
+        reply = worker.open({"stream": stream, "config": config.to_dict()})
+        assert reply["ok"] and reply["backend"] == "vectorized"
+        pcs, values = benchmark_generator("gcc",
+                                          seed=31 + position).chunk(100)
+        messages.append({"stream": stream, "pcs": pcs.tobytes(),
+                         "values": values.tobytes()})
+    assert all(reply["ok"] for reply in worker.batch_many(messages))
+
+    stats = worker.stats()["stats"]
+    assert stats["ticks"] == 1
+    assert stats["kernel_dispatches"] == len(streams)
+    assert stats["dispatches_per_tick"] == float(len(streams))
+
+
 def test_worker_fold_reports_bad_streams_in_place():
     worker = _Worker(0, snapshot_intervals=8)
     config = ProfilerConfig(interval=SPEC, total_entries=16,
