@@ -278,12 +278,11 @@ def _add_profiler_flags(parser: argparse.ArgumentParser) -> None:
                         help="disable accumulator retaining (P0)")
     parser.add_argument("--backend", default="auto",
                         choices=list(BACKENDS),
-                        help="event-processing backend: the NumPy batch "
-                             "kernels ('vectorized', the default via "
-                             "'auto'), the per-event reference "
-                             "('scalar'), or the cross-session fold "
-                             "('batched': one kernel dispatch per tick "
-                             "over all sessions sharing a shape)")
+                        help="event-processing backend: the compiled "
+                             "per-event loop ('vectorized'), the Python "
+                             "reference ('scalar'), or 'auto' (the "
+                             "default: REPRO_BACKEND, else the compiled "
+                             "loop when it can be built)")
 
 
 def config_from_args(args: argparse.Namespace) -> ProfilerConfig:
@@ -516,7 +515,7 @@ def _bench_feed_chunked(profiler, pcs, values, spec):
 
 
 def _bench_feed_vectorized(profiler, pcs, values, spec):
-    """The kernel path: ``observe_array_chunk`` on uint64 arrays."""
+    """The compiled loop: ``observe_array_chunk`` on uint64 arrays."""
     from .profiling.session import CHUNK_EVENTS
 
     length = spec.length
@@ -531,9 +530,10 @@ def _bench_feed_vectorized(profiler, pcs, values, spec):
             profiler.end_interval()
 
 
-#: Multi-session fold operating point: concurrent sessions advance in
+#: Multi-session operating point: concurrent sessions advance in
 #: lockstep ticks of a small per-session chunk -- the latency-bound
-#: streaming regime the batched cross-session dispatch is built for.
+#: streaming regime of the profile service, where the fixed cost of
+#: each call counts.
 _BENCH_SESSION_COUNTS = [1, 8, 64]
 _BENCH_QUICK_SESSION_COUNTS = [1, 8]
 _BENCH_SESSION_INTERVALS = 2
@@ -546,20 +546,16 @@ _BENCH_SESSION_TICK = 100
 def _bench_feed_sessions(config, backend, streams, spec, time_module):
     """Time one backend serving ``len(streams)`` concurrent sessions.
 
-    Every tick advances each session by ``_BENCH_SESSION_TICK`` events.
-    ``scalar-chunked`` and ``vectorized`` serve sessions one at a time
-    (one ``observe_chunk`` / ``observe_array_chunk`` call per session
-    per tick); ``batched`` folds the whole tick into a single
-    :class:`~repro.core.batched.BatchedKernelRunner` dispatch.
+    Every tick advances each session by ``_BENCH_SESSION_TICK`` events,
+    one ``observe_chunk`` (``scalar-chunked``) or
+    ``observe_array_chunk`` (``vectorized``) call per session per tick.
     Returns ``(seconds, ticks, kernel_dispatches)``.
     """
-    from .core.batched import BatchedKernelRunner
     from .profiling.session import ProfilingSession
 
     resolved = config.with_backend(
         "scalar" if backend == "scalar-chunked" else "vectorized")
     profilers = [_bench_profiler(resolved) for _ in streams]
-    runner = BatchedKernelRunner()
     tick = _BENCH_SESSION_TICK
     length = spec.length
     total = len(streams[0][0])
@@ -573,11 +569,7 @@ def _bench_feed_sessions(config, backend, streams, spec, time_module):
         take = min(tick, length - offset % length, total - offset)
         stop = offset + take
         ticks += 1
-        if backend == "batched":
-            runner.dispatch(
-                [(profiler, pcs[offset:stop], values[offset:stop])
-                 for profiler, (pcs, values) in zip(profilers, streams)])
-        elif backend == "vectorized":
+        if backend == "vectorized":
             for profiler, (pcs, values) in zip(profilers, streams):
                 profiler.observe_array_chunk(pcs[offset:stop],
                                              values[offset:stop])
@@ -597,9 +589,7 @@ def _bench_feed_sessions(config, backend, streams, spec, time_module):
                 profiler.end_interval()
         offset = stop
     elapsed = time_module.perf_counter() - started
-    dispatches = (runner.dispatches if backend == "batched"
-                  else len(streams) * ticks)
-    return elapsed, ticks, dispatches
+    return elapsed, ticks, len(streams) * ticks
 
 
 def _run_bench(args: argparse.Namespace) -> int:
@@ -613,13 +603,15 @@ def _run_bench(args: argparse.Namespace) -> int:
       kernels are parity-tested against (run once -- it is slow),
     * ``scalar-chunked``: the scalar production path (``observe_chunk``
       with vectorized pre-hashing, as ``SessionFeeder`` drives it),
-    * ``vectorized``: the NumPy array kernels.
+    * ``vectorized``: the compiled per-event loop.
 
     Every row consumes the identical pre-generated stream, split at
     interval boundaries; only profiler work is timed.  The headline
     speedup is vectorized vs the per-event reference; the
     chunked-baseline speedup is reported alongside so the comparison
-    against the tuned scalar path stays honest.
+    against the tuned scalar path stays honest.  A second table serves
+    1, 8 and 64 concurrent sessions in 100-event ticks, where each
+    call's fixed cost counts.
     """
     import json
     import os
@@ -678,7 +670,7 @@ def _run_bench(args: argparse.Namespace) -> int:
                 "speedup_vs_chunked": chunked,
             })
 
-    # -- multi-session fold: batched vs per-session dispatch ----------
+    # -- concurrent sessions in small ticks ----------------------------
     session_counts = (_BENCH_QUICK_SESSION_COUNTS if args.quick
                       else _BENCH_SESSION_COUNTS)
     session_spec = IntervalSpec(*(_BENCH_QUICK_SESSION_SPEC if args.quick
@@ -687,7 +679,7 @@ def _run_bench(args: argparse.Namespace) -> int:
                          else _BENCH_SESSION_INTERVALS)
     per_session = session_spec.length * session_intervals
     sessions_out = []
-    fold_speedups = {}
+    session_speedups = {}
     for figure, factory in (("fig07", best_single_hash),
                             ("fig12", best_multi_hash)):
         config = factory(session_spec)
@@ -699,7 +691,7 @@ def _run_bench(args: argparse.Namespace) -> int:
                 for position in range(count)]
             total_events = count * per_session
             rows = {}
-            for backend in ("scalar-chunked", "vectorized", "batched"):
+            for backend in ("scalar-chunked", "vectorized"):
                 repeats = (1 if backend == "scalar-chunked"
                            else max(1, args.repeats))
                 best = min(
@@ -718,16 +710,13 @@ def _run_bench(args: argparse.Namespace) -> int:
                 print(f"{figure} {config.label:>14} sessions={count:<3} "
                       f"{backend:>14}: "
                       f"{total_events / elapsed:>12,.0f} events/s  "
-                      f"({elapsed:.3f}s, {dispatches / ticks:.0f} "
-                      f"dispatch(es)/tick)")
-            fold = rows["batched"]["events_per_second"]
-            vs_vectorized = fold / rows["vectorized"]["events_per_second"]
-            vs_scalar = fold / rows["scalar-chunked"]["events_per_second"]
+                      f"({elapsed:.3f}s)")
+            speedup = (rows["vectorized"]["events_per_second"]
+                       / rows["scalar-chunked"]["events_per_second"])
             key = f"{config.label}@{count}"
-            fold_speedups[key] = vs_vectorized
+            session_speedups[key] = speedup
             print(f"{figure} {config.label:>14} sessions={count:<3} "
-                  f"   fold speedup: {vs_vectorized:.2f}x vs vectorized, "
-                  f"{vs_scalar:.2f}x vs scalar-chunked")
+                  f"   speedup: {speedup:.2f}x vs scalar-chunked")
             sessions_out.append({
                 "figure": figure,
                 "architecture": config.label,
@@ -738,8 +727,7 @@ def _run_bench(args: argparse.Namespace) -> int:
                 "tick_events": _BENCH_SESSION_TICK,
                 "events": total_events,
                 "rows": rows,
-                "fold_speedup_vs_vectorized": vs_vectorized,
-                "fold_speedup_vs_scalar_chunked": vs_scalar,
+                "speedup_vs_scalar_chunked": speedup,
             })
 
     report = {
@@ -750,7 +738,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         "speedups": speedups,
         "chunked_speedups": chunked_speedups,
         "sessions": sessions_out,
-        "session_fold_speedups": fold_speedups,
+        "session_speedups": session_speedups,
     }
     atomic_write_json(args.output, report)
     print(f"wrote {args.output}")
@@ -804,9 +792,9 @@ def _run_scenario(args: argparse.Namespace) -> int:
 def _bench_profiler(config):
     """Build a profiler with its hash pipeline pre-warmed.
 
-    The vectorized hash functions build their folded lookup tables
-    lazily on first use; that one-time setup cost belongs to profiler
-    construction, not to the timed throughput loop.
+    The scalar path's vectorized pre-hashing builds its folded lookup
+    tables lazily on first use; that one-time setup cost belongs to
+    profiler construction, not to the timed throughput loop.
     """
     import numpy as np
 

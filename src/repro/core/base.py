@@ -93,16 +93,10 @@ class HardwareProfiler(abc.ABC):
     agree on interval boundaries.
     """
 
-    #: True when :meth:`observe_array_chunk` is a native batch kernel
-    #: (see :mod:`repro.core.kernels`); the session feeder then skips
-    #: materializing per-event tuple lists entirely.
+    #: True when :meth:`observe_array_chunk` is the compiled per-event
+    #: loop (see :mod:`repro.core.kernels`); the session feeder then
+    #: skips materializing per-event tuple lists entirely.
     supports_array_chunks: bool = False
-
-    #: True when this instance opted into cross-session batch dispatch
-    #: (``backend="batched"``): drivers collect its chunks and hand
-    #: them to a :class:`repro.core.batched.BatchedKernelRunner`
-    #: alongside other tenants' instead of dispatching per profiler.
-    batched_dispatch: bool = False
 
     def __init__(self, interval: IntervalSpec) -> None:
         self.interval = interval
@@ -114,6 +108,12 @@ class HardwareProfiler(abc.ABC):
     def name(self) -> str:
         """Human-readable profiler label for reports."""
         return type(self).__name__
+
+    @property
+    def backend(self) -> str:
+        """The path this profiler was built on: ``vectorized`` for the
+        compiled loop, ``scalar`` otherwise."""
+        return "vectorized" if self.supports_array_chunks else "scalar"
 
     @abc.abstractmethod
     def observe(self, event: ProfileTuple) -> None:
@@ -169,9 +169,8 @@ class HardwareProfiler(abc.ABC):
 
         The chunk never spans an interval boundary (the session feeder
         guarantees this).  The base implementation loops
-        :meth:`observe`; kernel-backed profilers override it with a
-        batch implementation and advertise it via
-        :attr:`supports_array_chunks`.
+        :meth:`observe`; the compiled-loop profilers override it and
+        advertise it via :attr:`supports_array_chunks`.
         """
         for pc, value in zip(pcs.tolist(), values.tolist()):
             self.observe((pc, value))

@@ -30,14 +30,12 @@ DEFAULT_COUNTER_BITS = 24
 #: Total number of hash-table counters in the paper's evaluation.
 DEFAULT_TOTAL_ENTRIES = 2048
 
-#: Valid :attr:`ProfilerConfig.backend` values.  ``auto`` defers to the
-#: ``REPRO_BACKEND`` environment variable and otherwise picks the
-#: vectorized kernels (:mod:`repro.core.kernels`).  ``batched`` builds
-#: the same kernels but additionally opts the profiler into
-#: cross-session batch dispatch (:mod:`repro.core.batched`): drivers
-#: that hold chunks for several profilers at once fold them into one
-#: NumPy call chain per tick.
-BACKENDS = ("auto", "scalar", "vectorized", "batched")
+#: Valid :attr:`ProfilerConfig.backend` values.  ``vectorized`` is the
+#: compiled per-event loop (:mod:`repro.core.kernels`), ``scalar`` the
+#: Python reference; ``auto`` defers to the ``REPRO_BACKEND``
+#: environment variable and otherwise takes the compiled loop when it
+#: can be built, else the scalar classes.
+BACKENDS = ("auto", "scalar", "vectorized")
 
 #: Environment variable consulted by ``backend="auto"``; lets CI run
 #: the whole suite under either backend without touching configs.
@@ -193,21 +191,23 @@ class ProfilerConfig:
         return self.interval.max_candidates
 
     @property
-    def resolved_backend(self) -> str:
-        """The concrete backend to build: ``scalar``, ``vectorized``
-        or ``batched``.
+    def requested_backend(self) -> str:
+        """The backend asked for: ``scalar`` or ``vectorized`` when this
+        config or :data:`BACKEND_ENV` names one, else ``auto``.
 
-        ``auto`` consults :data:`BACKEND_ENV` and defaults to the
-        vectorized kernels; both results are deterministic per process
-        so a session's profilers all resolve the same way.
+        An ``auto`` profiler is built on the compiled loop when it can
+        be built and on the scalar classes otherwise; ask the profiler
+        (:attr:`~repro.core.base.HardwareProfiler.backend`) which one
+        it got.  Deterministic per process, so a session's profilers
+        all resolve the same way.
         """
         if self.backend != "auto":
             return self.backend
-        value = os.environ.get(BACKEND_ENV, "vectorized")
-        if value not in ("scalar", "vectorized", "batched"):
+        value = os.environ.get(BACKEND_ENV) or "auto"
+        if value not in BACKENDS:
             raise ValueError(
-                f"{BACKEND_ENV} must be 'scalar', 'vectorized' or "
-                f"'batched', got {value!r}")
+                f"{BACKEND_ENV} must be one of {', '.join(BACKENDS)}, "
+                f"got {value!r}")
         return value
 
     def with_backend(self, backend: str) -> "ProfilerConfig":

@@ -26,7 +26,7 @@ single seed.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .tuples import FIELD_BITS, ProfileTuple
 
 #: Bytes per hashed field (64-bit fields).
 _FIELD_BYTES = FIELD_BITS // 8
+
+#: 16-bit chunks per hashed field, each with one folded lookup table.
+_FOLD_CHUNKS = _FIELD_BYTES // 2
 
 #: Size of each random substitution table -- one entry per byte value.
 RANDOM_TABLE_ENTRIES = 256
@@ -86,8 +89,7 @@ class TupleHashFunction:
     """
 
     __slots__ = ("index_bits", "table_size", "_pc_tables", "_value_tables",
-                 "_np_pc_tables", "_np_value_tables", "_fold_pc",
-                 "_fold_value", "_fold_base")
+                 "_folds", "_fold_base")
 
     def __init__(self, index_bits: int, seed: int) -> None:
         if not 1 <= index_bits <= 30:
@@ -99,10 +101,7 @@ class TupleHashFunction:
         rng = random.Random(seed)
         self._pc_tables = _draw_tables(rng)
         self._value_tables = _draw_tables(rng)
-        self._np_pc_tables = np.array(self._pc_tables, dtype=np.uint64)
-        self._np_value_tables = np.array(self._value_tables, dtype=np.uint64)
-        self._fold_pc = None
-        self._fold_value = None
+        self._folds = None
         self._fold_base = 0
 
     def randomize_pc(self, pc: int) -> int:
@@ -135,26 +134,38 @@ class TupleHashFunction:
         nothing, which collapses the usual case -- PCs and values far
         narrower than 64 bits -- to a couple of gathers and XORs.
         """
-        if self._fold_pc is None:
-            self._build_fold_tables()
+        folds, base = self.fold_tables()
         out = None
         mask = np.uint64(0xFFFF)
-        for tables, field in ((self._fold_pc, pcs),
-                              (self._fold_value, values)):
+        for first, field in ((0, pcs), (_FOLD_CHUNKS, values)):
             top = int(field.max()) if field.size else 0
-            for chunk in range(_FIELD_BYTES // 2):
+            for chunk in range(_FOLD_CHUNKS):
                 if chunk and not top >> (16 * chunk):
                     break
                 piece = (field if chunk == 0 and top < 0x10000
                          else (field >> np.uint64(16 * chunk)) & mask)
-                gathered = tables[chunk].take(piece.astype(np.intp))
+                gathered = folds[first + chunk].take(piece.astype(np.intp))
                 if out is None:
                     out = gathered
                 else:
                     out ^= gathered
-        if self._fold_base:
-            out ^= np.int32(self._fold_base)
+        if base:
+            out ^= np.int32(base)
         return out.astype(np.int64)
+
+    def fold_tables(self) -> Tuple[np.ndarray, int]:
+        """The folded chunk tables and their constant, built on first use.
+
+        Row ``c`` of the ``(8, 65536)`` ``int32`` array folds the PC's
+        ``c``-th 16-bit chunk (low chunk first) and row ``4 + c`` the
+        value's; a field's index contribution is the XOR of its chunks'
+        rows, and the index is that of both fields XOR the constant.
+        The compiled per-event loop (:mod:`repro.core.kernels`) hashes
+        from the same tables.
+        """
+        if self._folds is None:
+            self._build_fold_tables()
+        return self._folds, self._fold_base
 
     def _build_fold_tables(self) -> None:
         """Precompute the zero-normalized folded 16-bit chunk tables."""
@@ -169,19 +180,17 @@ class TupleHashFunction:
                 [xor_fold(entry << (8 * position), self.index_bits)
                  for entry in self._value_tables[position]], dtype=np.int32))
         base = 0
-        fold_pc = []
-        fold_value = []
-        for chunk in range(_FIELD_BYTES // 2):
-            for per_byte, fold in ((per_byte_pc, fold_pc),
-                                   (per_byte_value, fold_value)):
+        folds = np.empty((2 * _FOLD_CHUNKS, 1 << 16), dtype=np.int32)
+        for first, per_byte in ((0, per_byte_pc),
+                                (_FOLD_CHUNKS, per_byte_value)):
+            for chunk in range(_FOLD_CHUNKS):
                 low = per_byte[2 * chunk]
                 high = per_byte[2 * chunk + 1]
                 table = low[np.newaxis, :] ^ high[:, np.newaxis]
                 zero = int(table[0, 0])
                 base ^= zero
-                fold.append((table ^ zero).reshape(-1))
-        self._fold_pc = fold_pc
-        self._fold_value = fold_value
+                folds[first + chunk] = (table ^ zero).reshape(-1)
+        self._folds = folds
         self._fold_base = base
 
 
@@ -197,23 +206,6 @@ def _substitute(value: int, tables: Sequence[Sequence[int]]) -> int:
     for position in range(_FIELD_BYTES):
         byte = (value >> (8 * position)) & 0xFF
         out |= tables[position][byte] << (8 * position)
-    return out
-
-
-def _substitute_array(values: np.ndarray, tables: np.ndarray,
-                      flip_bytes: bool) -> np.ndarray:
-    """Vectorized per-byte substitution (optionally byte-flipped).
-
-    *tables* is an ``(8, 256)`` ``uint64`` array.  When *flip_bytes* is
-    true the substituted byte for input position ``i`` is placed at
-    output position ``7 - i``, fusing :func:`flip` into the substitution.
-    """
-    out = np.zeros_like(values)
-    for position in range(_FIELD_BYTES):
-        byte = (values >> np.uint64(8 * position)) & np.uint64(0xFF)
-        substituted = tables[position][byte.astype(np.intp)]
-        out_position = (_FIELD_BYTES - 1 - position) if flip_bytes else position
-        out |= substituted << np.uint64(8 * out_position)
     return out
 
 

@@ -48,10 +48,6 @@ class MultiHashProfiler(HardwareProfiler):
                  ) -> None:
         super().__init__(config.interval)
         self.config = config
-        #: True when the caller supplied explicit hash functions; the
-        #: batched runner only folds profilers whose functions derive
-        #: from the config seed (and are therefore shared per seed).
-        self.custom_hash = hash_functions is not None
         if hash_functions is None:
             family = HashFunctionFamily(config.index_bits,
                                         seed=config.hash_seed)
@@ -166,7 +162,6 @@ class MultiHashProfiler(HardwareProfiler):
                 entry.count += 1
                 if entry.replaceable and entry.count >= threshold:
                     entry.replaceable = False
-                    self.accumulator.replaceable_count -= 1
                 accumulator_hits += 1
                 continue
             if conservative:
@@ -211,7 +206,6 @@ class MultiHashProfiler(HardwareProfiler):
                 entry.count += 1
                 if entry.replaceable and entry.count >= threshold:
                     entry.replaceable = False
-                    self.accumulator.replaceable_count -= 1
                 accumulator_hits += 1
         stats.accumulator_hits += accumulator_hits
         stats.hash_updates += hash_updates
@@ -265,28 +259,22 @@ def build_profiler(config: ProfilerConfig) -> HardwareProfiler:
     Single-table configurations build a single-hash profiler
     (conservative update is meaningless with one table and must be
     off); multi-table configurations build a multi-hash profiler.
-    ``config.resolved_backend`` selects between the scalar reference
-    classes and the bit-identical NumPy kernels of
-    :mod:`repro.core.kernels`; counters too wide for the int64 kernels
-    fall back to scalar.
+    ``config.requested_backend`` selects between the scalar reference
+    classes and the bit-identical compiled loop of
+    :mod:`repro.core.kernels`.  ``auto`` takes the compiled loop when it
+    can be built; an explicit ``vectorized`` raises when it cannot.
+    Counters too wide for the loop's int64 tables build scalar.
     """
+    from . import kernels
     from .single_hash import SingleHashProfiler
 
     single = config.num_tables == 1 and not config.conservative_update
-    backend = config.resolved_backend
-    if backend in ("vectorized", "batched"):
-        from .kernels import (MAX_KERNEL_COUNTER_BITS,
-                              VectorizedMultiHashProfiler,
-                              VectorizedSingleHashProfiler)
-        if config.counter_bits <= MAX_KERNEL_COUNTER_BITS:
-            profiler = (VectorizedSingleHashProfiler(config) if single
-                        else VectorizedMultiHashProfiler(config))
-            if backend == "batched":
-                # Same kernels, same state layout; the flag is what
-                # drivers (session feeder, service worker) use to fold
-                # this profiler's chunks into a cross-session dispatch.
-                profiler.batched_dispatch = True
-            return profiler
+    backend = config.requested_backend
+    if (backend != "scalar"
+            and config.counter_bits <= kernels.MAX_KERNEL_COUNTER_BITS
+            and (backend == "vectorized" or kernels.library() is not None)):
+        return (kernels.VectorizedSingleHashProfiler(config) if single
+                else kernels.VectorizedMultiHashProfiler(config))
     if single:
         return SingleHashProfiler(config)
     return MultiHashProfiler(config)

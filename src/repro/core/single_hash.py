@@ -41,10 +41,6 @@ class SingleHashProfiler(HardwareProfiler):
                 f"{config.num_tables}; use MultiHashProfiler instead")
         super().__init__(config.interval)
         self.config = config
-        #: True when the caller supplied an explicit hash function; the
-        #: batched runner only folds profilers whose functions derive
-        #: from the config seed (and are therefore shared per seed).
-        self.custom_hash = hash_function is not None
         self.hash_function = hash_function or HashFunctionFamily(
             config.index_bits, seed=config.hash_seed)[0]
         if self.hash_function.table_size != config.entries_per_table:
@@ -126,7 +122,6 @@ class SingleHashProfiler(HardwareProfiler):
                 entry.count += 1
                 if entry.replaceable and entry.count >= threshold:
                     entry.replaceable = False
-                    self.accumulator.replaceable_count -= 1
                 accumulator_hits += 1
                 continue
             index = indices[position]
@@ -146,7 +141,6 @@ class SingleHashProfiler(HardwareProfiler):
                 entry.count += 1
                 if entry.replaceable and entry.count >= threshold:
                     entry.replaceable = False
-                    self.accumulator.replaceable_count -= 1
                 accumulator_hits += 1
         stats.accumulator_hits += accumulator_hits
         stats.hash_updates += hash_updates

@@ -114,19 +114,6 @@ class AccumulatorTable:
         self.rejected_inserts = 0
         #: Retained entries evicted to make room for a new promotion.
         self.evictions = 0
-        #: Live count of replaceable entries, maintained at every flag
-        #: flip (including the chunked/batched fast paths, which mutate
-        #: entry flags directly) so kernel dispatch never rescans the
-        #: table to seed its saturation check.
-        self.replaceable_count = 0
-        #: Structural version: bumped whenever the *key set* changes
-        #: (insert, eviction, interval flush).  Flag/count mutations
-        #: leave it alone, so the batched runner can cache the
-        #: materialized key array across ticks.
-        self.version = 0
-        #: ``(version, packed key array, entry list)`` cache owned by
-        #: the batched runner; ``None`` until first used.
-        self.keys_cache = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -149,7 +136,6 @@ class AccumulatorTable:
         entry.count += 1
         if entry.replaceable and entry.count >= threshold_count:
             entry.replaceable = False
-            self.replaceable_count -= 1
         return entry.count
 
     def insert(self, event: ProfileTuple, initial_count: int) -> bool:
@@ -161,35 +147,20 @@ class AccumulatorTable:
         ("if there are no more free entries ... the event is not put
         into the accumulator table", Section 5.2).
         """
-        inserted, _ = self.insert_tracked(event, initial_count)
-        return inserted
-
-    def insert_tracked(self, event: ProfileTuple, initial_count: int
-                       ) -> Tuple[bool, Optional[ProfileTuple]]:
-        """:meth:`insert` that also reports the evicted tuple, if any.
-
-        The vectorized kernels mirror residency in chunk-local flag
-        arrays and need to know which tuple an insert displaced;
-        :meth:`insert` is implemented on top of this.
-        """
         if event in self._entries:
             raise ValueError(f"tuple {event!r} is already resident")
-        evicted: Optional[ProfileTuple] = None
         if len(self._entries) >= self.capacity:
             victim = self._pick_victim()
             if victim is None:
                 self.rejected_inserts += 1
-                return False, None
+                return False
             del self._entries[victim.event]
             self.evictions += 1
-            self.replaceable_count -= 1
-            evicted = victim.event
         self._entries[event] = AccumulatorEntry(
             event=event, count=initial_count, replaceable=False,
             stamp=self._next_stamp)
         self._next_stamp += 1
-        self.version += 1
-        return True, evicted
+        return True
 
     def _pick_victim(self) -> Optional[AccumulatorEntry]:
         """Lowest-count, then oldest, replaceable entry; ``None`` if all
@@ -228,11 +199,8 @@ class AccumulatorTable:
             for entry in self._entries.values():
                 entry.count = 0
                 entry.replaceable = True
-            self.replaceable_count = len(self._entries)
         else:
             self._entries.clear()
-            self.replaceable_count = 0
-        self.version += 1
         return report
 
     def resident_events(self) -> Tuple[ProfileTuple, ...]:
@@ -240,7 +208,7 @@ class AccumulatorTable:
         return tuple(self._entries)
 
     def raw_entries(self) -> Dict[ProfileTuple, AccumulatorEntry]:
-        """The live associative store, for the profilers' batched fast
+        """The live associative store, for the profilers' chunked fast
         path.  Callers must preserve the table's invariants: mutate
         counts/flags only through the semantics of :meth:`record_hit`,
         and never add or remove entries directly."""

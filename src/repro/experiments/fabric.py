@@ -334,7 +334,7 @@ class ExperimentFabric:
                   ) -> Dict[str, Dict[str, ErrorSummary]]:
         """Run every benchmark's cell; returns ``sweep()``'s shape."""
         pinned = tuple(
-            (label, config.with_backend(config.resolved_backend))
+            (label, config.with_backend(config.requested_backend))
             for label, config in configs)
         cells = [SweepCell(benchmark=benchmark, configs=pinned,
                            num_intervals=num_intervals, kind=kind,

@@ -64,12 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--benchmarks", type=str, default=None,
                         help="comma-separated benchmark subset")
     parser.add_argument("--backend",
-                        choices=("scalar", "vectorized", "batched"),
+                        choices=("scalar", "vectorized"),
                         default=None,
                         help="profiler backend for every experiment "
-                             "(default: REPRO_BACKEND, else vectorized; "
-                             "'batched' folds same-shape sweep cells "
-                             "into one kernel dispatch per chunk)")
+                             "(default: REPRO_BACKEND, else the "
+                             "compiled loop when it can be built)")
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker processes for independent cells "
                              "(default: REPRO_JOBS, else all cores)")

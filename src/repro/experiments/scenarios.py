@@ -3,10 +3,10 @@
 Runs every selected scenario (``REPRO_SCENARIOS``: preset names or YAML
 paths, default the shipped ``stress_test`` and ``adversarial`` presets)
 through the paper's best single-hash and best multi-hash profilers on
-**all three** event-processing backends -- the scalar reference, the
-vectorized kernels, and the cross-session batched fold.  Each
-(scenario, backend) pair is one fabric cell; the parent asserts the
-three backends produced **bit-identical** per-interval profiles (a
+**both** event-processing backends -- the scalar reference and the
+compiled per-event loop.  Each (scenario, backend) pair is one fabric
+cell; the parent asserts the two backends produced
+**bit-identical** per-interval profiles (a
 SHA-256 over every candidate list) before reporting accuracy, so the
 scenario suite doubles as a cross-backend parity harness over streams
 deliberately nastier than the calibrated benchmarks.
@@ -33,7 +33,7 @@ from .base import ExperimentReport, ExperimentScale, experiment
 from .fabric import current_fabric, fabric_map
 
 #: Every backend, every scenario: parity is the point.
-SCENARIO_BACKENDS = ("scalar", "vectorized", "batched")
+SCENARIO_BACKENDS = ("scalar", "vectorized")
 
 #: The scored profilers, in report order.
 PROFILER_LABELS = ("best_single_hash", "best_multi_hash")

@@ -324,9 +324,8 @@ class SessionFeeder:
         self._distinct: List[int] = []
         self._functions = [session._hash_functions(profiler)
                            for profiler in session.profilers]
-        #: Folds chunks of every ``backend="batched"`` profiler -- of
-        #: this feeder, and of any other feeder sharing the runner via
-        #: :func:`feed_many` -- into one kernel dispatch per piece.
+        #: Issues and counts this feeder's kernel calls (a
+        #: :func:`feed_many` caller brings its own runner).
         self.runner = BatchedKernelRunner()
         self._pieces: List[Tuple[np.ndarray, np.ndarray]] = []
         self._pending = 0
@@ -375,37 +374,30 @@ class SessionFeeder:
         return closed
 
     def _observe_piece(self, pcs: np.ndarray, values: np.ndarray) -> None:
-        requests = self._piece_requests(pcs, values, self.runner)
-        if requests:
-            self.runner.dispatch(requests)
+        self.runner.dispatch(self._piece_requests(pcs, values))
         self._account_piece(pcs, values)
 
-    def _piece_requests(self, pcs: np.ndarray, values: np.ndarray,
-                        runner: BatchedKernelRunner
+    def _piece_requests(self, pcs: np.ndarray, values: np.ndarray
                         ) -> List[Tuple[HardwareProfiler,
                                         np.ndarray, np.ndarray]]:
-        """Feed every non-batched profiler; return the batch requests.
+        """Feed the scalar profilers one piece; return the kernel
+        requests.
 
-        Profilers flagged ``batched_dispatch`` are *not* fed here --
-        their ``(profiler, pcs, values)`` requests are returned so the
-        caller can fold them (with other tenants' requests, see
-        :func:`feed_many`) into one
-        :meth:`BatchedKernelRunner.dispatch`.  Each kernel call made
-        here counts as one of *runner*'s dispatches.
+        Compiled-loop profilers are *not* fed here: their ``(profiler,
+        pcs, values)`` requests are returned for the caller's
+        :meth:`BatchedKernelRunner.dispatch`, which issues and counts
+        the kernel calls (together with other feeders' requests, see
+        :func:`feed_many`).
         """
         requests: List[Tuple[HardwareProfiler,
                              np.ndarray, np.ndarray]] = []
         events = None
         for profiler, functions in zip(self._session.profilers,
                                        self._functions):
-            if profiler.batched_dispatch:
-                requests.append((profiler, pcs, values))
-                continue
             if profiler.supports_array_chunks:
-                # Kernel-backed profilers consume the arrays natively;
-                # no per-event tuple list is ever materialized.
-                profiler.observe_array_chunk(pcs, values)
-                runner.dispatches += 1
+                # The compiled loop consumes the arrays natively; no
+                # per-event tuple list is ever materialized.
+                requests.append((profiler, pcs, values))
                 continue
             if events is None:
                 events = list(zip(pcs.tolist(), values.tolist()))
@@ -502,12 +494,11 @@ def feed_many(items: Sequence[Tuple["SessionFeeder",
     batch per feeder (stream).  Equivalent to calling
     ``feeder.feed(pcs, values)`` on each in turn (the feeders'
     split-invariance guarantee makes per-stream results independent of
-    how other streams interleave), but all ``backend="batched"``
-    profilers across *all* feeders are folded into one
-    :meth:`BatchedKernelRunner.dispatch` per round instead of one per
-    feeder.  This is the profile service's per-shard fold: a worker
-    holding batches for many streams pays one kernel dispatch chain
-    per tick, not one per session.
+    how other streams interleave), with the compiled-loop profilers of
+    *all* feeders fed through one :meth:`BatchedKernelRunner.dispatch`
+    per round, which counts their kernel calls.  This is the profile
+    service's per-shard fold: a worker advances every stream it holds
+    a batch for in one tick.
 
     Rounds advance every feeder at most one interval-bounded piece at
     a time so chunks never span an interval boundary (the kernels'
@@ -549,12 +540,11 @@ def feed_many(items: Sequence[Tuple["SessionFeeder",
             piece = (pcs[offset:offset + take],
                      values[offset:offset + take])
             offsets[position] = offset + take
-            requests.extend(feeder._piece_requests(*piece, runner))
+            requests.extend(feeder._piece_requests(*piece))
             round_pieces.append((position, feeder, piece))
         if not round_pieces:
             return closed
-        if requests:
-            runner.dispatch(requests)
+        runner.dispatch(requests)
         for position, feeder, piece in round_pieces:
             feeder._account_piece(*piece)
             if feeder.pending_events == feeder.interval.length:

@@ -21,10 +21,10 @@ Architecture::
   ships the whole payload buffer to the owning shard (no per-array
   copies), packs every op submitted in one event-loop tick into a
   single ``group`` queue put per worker, and receives folded replies
-  as one list per queue get.  ``"legacy"`` reproduces the pre-rewrite
-  plane -- per-op bounded-queue puts with the event arrays copied out
-  of each frame -- and exists so the load harness can measure one
-  against the other in the same binary.
+  as one list per read of the worker's reply pipe.  ``"legacy"``
+  reproduces the pre-rewrite plane -- per-op bounded-queue puts with
+  the event arrays copied out of each frame -- and exists so the load
+  harness can measure one against the other in the same binary.
 * An oversized-but-well-formed frame is answered with a framed
   ``oversized`` error after draining its payload; the connection
   survives.  Only unframeable byte streams (bad magic, unknown type)
@@ -32,6 +32,10 @@ Architecture::
 * ``stop()`` drains gracefully: listeners close, every worker flushes
   the open interval of every open stream (so trailing events are
   scored and reported, not dropped), then the processes are joined.
+* A worker that dies (killed, out of memory, a fault in the compiled
+  loop) fails fast: each request it held, and each later request
+  routed to its shard, is answered ``worker-lost``, and ``T_STATS``
+  reports the shard as lost.  The other shards keep serving.
 
 The server runs its event loop in a dedicated thread so it can be
 embedded (tests, notebooks) or run standalone via the CLI's ``serve``
@@ -45,6 +49,7 @@ import itertools
 import multiprocessing
 import queue
 import threading
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional
 
 from . import protocol
@@ -71,7 +76,11 @@ class _WorkerHandle:
     """Server-side endpoint of one worker process.
 
     Requests are correlated by id; a pump thread moves replies from the
-    worker's queue onto the event loop, resolving the matching future.
+    worker's reply pipe onto the event loop, resolving the matching
+    future.  The pump also watches the process sentinel: when the
+    worker dies outside :meth:`shutdown`, the handle is :attr:`lost`
+    and every request it holds or is given resolves as
+    ``worker-lost``.
     """
 
     def __init__(self, worker_id: int, max_pending: int,
@@ -86,10 +95,10 @@ class _WorkerHandle:
         # Legacy plane: the bounded queue is the backpressure.
         maxsize = 0 if data_plane == "fast" else max_pending
         self.requests = context.Queue(maxsize=maxsize)
-        self.replies = context.Queue()
+        self._replies, self._reply_end = context.Pipe(duplex=False)
         self.process = context.Process(
             target=worker_main,
-            args=(worker_id, self.requests, self.replies,
+            args=(worker_id, self.requests, self._reply_end,
                   snapshot_intervals),
             name=f"repro-profile-worker-{worker_id}",
             daemon=True)
@@ -98,18 +107,28 @@ class _WorkerHandle:
         self._pump: Optional[threading.Thread] = None
         self._pending: List[Dict[str, Any]] = []
         self._flush_scheduled = False
+        #: True once the worker died outside :meth:`shutdown`.
+        self.lost = False
+        self._closing = False
 
     def start(self, loop: asyncio.AbstractEventLoop) -> None:
         self.process.start()
+        self._reply_end.close()  # the worker holds the sending end
         self._pump = threading.Thread(target=self._pump_replies,
                                       args=(loop,), daemon=True,
                                       name=f"reply-pump-{self.worker_id}")
         self._pump.start()
 
     def _pump_replies(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Resolve replies until the worker exits; then, unless it was
+        shut down, fail everything it held."""
         while True:
-            reply = self.replies.get()
-            if reply is None:
+            ready = wait([self._replies, self.process.sentinel])
+            if self._replies not in ready:
+                break  # the worker exited and left no reply unread
+            try:
+                reply = self._replies.recv()
+            except EOFError:
                 break
             # A list is one folded tick's replies; resolve them all in
             # one hop onto the event loop.
@@ -117,7 +136,29 @@ class _WorkerHandle:
             try:
                 loop.call_soon_threadsafe(self._resolve_batch, batch)
             except RuntimeError:
-                break  # loop closed mid-shutdown; nothing left to wake
+                return  # loop closed mid-shutdown; nothing left to wake
+        if self._closing:
+            return
+        self.lost = True
+        # Requests already handed to the dead worker may never leave
+        # the queue's buffer; do not let them hold up process exit.
+        self.requests.cancel_join_thread()
+        try:
+            loop.call_soon_threadsafe(self._fail_outstanding)
+        except RuntimeError:
+            pass
+
+    def _lost_reply(self) -> Dict[str, Any]:
+        return {"ok": False, "code": "worker-lost",
+                "error": f"worker {self.worker_id} is lost (exit code "
+                         f"{self.process.exitcode})"}
+
+    def _fail_outstanding(self) -> None:
+        futures, self._futures = self._futures, {}
+        self._pending = []
+        for future in futures.values():
+            if not future.done():
+                future.set_result(self._lost_reply())
 
     def _resolve_batch(self, batch: List[Dict[str, Any]]) -> None:
         for reply in batch:
@@ -132,6 +173,9 @@ class _WorkerHandle:
         request_id = next(self._ids)
         message["req"] = request_id
         future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
+        if self.lost:
+            future.set_result(self._lost_reply())
+            return future
         if self.data_plane == "fast":
             if len(self._futures) >= self.max_pending:
                 raise WorkerBusy(
@@ -157,7 +201,7 @@ class _WorkerHandle:
         """Hand every op submitted this tick to the worker in one put."""
         self._flush_scheduled = False
         pending, self._pending = self._pending, []
-        if not pending:
+        if not pending or self.lost:
             return
         if len(pending) == 1:
             self.requests.put(pending[0])
@@ -165,7 +209,8 @@ class _WorkerHandle:
             self.requests.put({"op": "group", "ops": pending})
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Ask the worker to drain and exit, then stop the pump."""
+        """Ask the worker to drain and exit; the pump stops with it."""
+        self._closing = True
         if self.process.is_alive():
             try:
                 self.requests.put({"op": "shutdown", "req": -1},
@@ -176,7 +221,6 @@ class _WorkerHandle:
             if self.process.is_alive():
                 self.process.terminate()
                 self.process.join(timeout)
-        self.replies.put(None)
         if self._pump is not None:
             self._pump.join(timeout)
 
@@ -471,8 +515,12 @@ class ProfileServer:
             if future is None:
                 workers.append({"worker": worker.worker_id,
                                 "busy": True})
+                continue
+            reply = await future
+            if reply.get("code") == "worker-lost":
+                workers.append({"worker": worker.worker_id, "lost": True})
             else:
-                workers.append((await future).get("stats", {}))
+                workers.append(reply.get("stats", {}))
         body = {
             "server": {
                 "host": self.host,
@@ -486,6 +534,8 @@ class ProfileServer:
                 "busy_rejections": self._busy_rejections,
                 "slow_client_sheds": self._slow_client_sheds,
                 "protocol_errors": self._protocol_errors,
+                "workers_lost": sum(worker.lost
+                                    for worker in self._workers),
             },
             "workers": workers,
         }

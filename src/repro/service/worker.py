@@ -3,10 +3,10 @@
 A worker is a ``multiprocessing`` process looping over a bounded
 request queue.  Each open stream maps to one
 :class:`~repro.profiling.session.SessionFeeder` driving a
-:class:`~repro.profiling.session.ProfilingSession` through the
-vectorized ``observe_chunk`` path -- event batches arrive as raw
-``uint64`` buffers and go straight into numpy, so the per-event cost is
-the same as the in-process chunked fast path.
+:class:`~repro.profiling.session.ProfilingSession` through the chunked
+path -- event batches arrive as raw ``uint64`` buffers and go straight
+into the compiled per-event loop, so the per-event cost is the same as
+in process.
 
 The worker also keeps a running stats ledger (events, batches, busy
 seconds, per-stream interval counts) that the server polls on demand
@@ -36,8 +36,8 @@ from .protocol import WIRE_DTYPE
 MAX_FINISHED_STREAMS = 128
 
 #: Most ``batch`` requests folded into one worker tick.  Bounds reply
-#: latency for the first op of a tick while still folding every stream
-#: a busy shard has pending into one kernel dispatch chain.
+#: latency for the first op of a tick while still advancing every
+#: stream a busy shard has pending in one feed.
 MAX_BATCH_FOLD = 256
 
 
@@ -74,6 +74,11 @@ class _StreamState:
         self.feeder: SessionFeeder = self.session.feeder()
         self.batches = 0
 
+    @property
+    def backend(self) -> str:
+        """The path the stream's profiler was built on."""
+        return self.session.profilers[0].backend
+
 
 def snapshot_dict(state: _StreamState, max_intervals: int,
                   final: bool = False,
@@ -103,7 +108,7 @@ def snapshot_dict(state: _StreamState, max_intervals: int,
     return {
         "stream": state.stream,
         "profiler": state.config.label,
-        "backend": state.config.resolved_backend,
+        "backend": result.profiler.backend,
         "final": final,
         "flushed_partial": flushed,
         "events": state.feeder.events_fed,
@@ -133,13 +138,11 @@ class _Worker:
         self.batches = 0
         self.busy_seconds = 0.0
         self.streams_opened = 0
-        #: Folds all ``backend="batched"`` streams' pending chunks into
-        #: one kernel dispatch chain per tick (see
-        #: :mod:`repro.core.batched`).
+        #: Issues and counts the compiled-loop calls of every tick.
         self.runner = BatchedKernelRunner()
         #: Folded feeds served (each covers >= 1 ``batch`` ops).
         self.ticks = 0
-        #: Kernel dispatch chains those ticks issued.
+        #: Compiled-loop calls those ticks issued.
         self.dispatches = 0
 
     # -- operations ----------------------------------------------------
@@ -151,14 +154,15 @@ class _Worker:
                           "stream-exists")
         try:
             config = ProfilerConfig.from_dict(message["config"])
+            state = _StreamState(stream, config)
         except (ValueError, TypeError, KeyError) as error:
             return _error(f"bad profiler config: {error}", "bad-config")
-        self.streams[stream] = _StreamState(stream, config)
+        self.streams[stream] = state
         self.finished.pop(stream, None)
         self.streams_opened += 1
         return {"ok": True, "stream": stream, "shard": self.worker_id,
                 "profiler": config.label,
-                "backend": config.resolved_backend,
+                "backend": state.backend,
                 "interval_length": config.interval.length}
 
     def batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -168,10 +172,10 @@ class _Worker:
                    ) -> List[Dict[str, Any]]:
         """Serve several ``batch`` ops as one folded feed (one tick).
 
-        All target streams advance through :func:`feed_many`, so every
-        ``backend="batched"`` profiler across the shard shares one
-        kernel dispatch chain per round instead of dispatching per
-        stream.  Several ops for one stream are concatenated in
+        All target streams advance through :func:`feed_many`, one
+        interval-bounded piece per stream per round, with every
+        compiled-loop call of the round issued and counted by
+        :attr:`runner`.  Several ops for one stream are concatenated in
         arrival order (equivalent by the feeder's split-invariance);
         the stream's total ``intervals_closed`` is reported on its
         last op of the tick.  Returns one reply per message, in order.
@@ -253,7 +257,8 @@ class _Worker:
                      "intervals_completed":
                          state.feeder.intervals_completed,
                      "pending_events": state.feeder.pending_events,
-                     "batches": state.batches}
+                     "batches": state.batches,
+                     "backend": state.backend}
             for stream, state in self.streams.items()}
         busy = self.busy_seconds
         return {"ok": True, "stats": {
@@ -300,14 +305,15 @@ def worker_main(worker_id: int, requests, replies,
                 snapshot_intervals: int) -> None:
     """Process entry point: serve *requests* until a shutdown message.
 
-    Every request dict carries ``op`` and ``req`` (the correlation id
-    echoed on the reply).  Unknown ops are answered with an error
-    rather than crashing the shard.
+    *requests* is the shard's request queue and *replies* the sending
+    end of its reply pipe.  Every request dict carries ``op`` and
+    ``req`` (the correlation id echoed on the reply).  Unknown ops are
+    answered with an error rather than crashing the shard.
 
     The fast data plane packs many ops into one ``group`` message per
     queue put; the group is unpacked onto the backlog in order, so one
     dequeue (one pickle round trip) serves a whole server tick.  Folded
-    batch replies likewise travel back as one list per queue put.
+    batch replies likewise travel back as one list per send.
     """
     # A terminal ctrl-c signals the whole foreground process group;
     # shutdown is coordinated by the server via the request queue, so
@@ -329,14 +335,14 @@ def worker_main(worker_id: int, requests, replies,
         if op == "shutdown":
             reply = worker.drain()
             reply["req"] = message.get("req")
-            replies.put(reply)
+            replies.send(reply)
             break
         if op == "batch":
             # Fold every already-pending batch op into this tick so all
-            # the shard's pending streams share one kernel dispatch
-            # chain.  The backlog (unpacked groups) is drained first,
-            # then the queue; a non-batch op ends the fold (it is
-            # served next iteration, preserving arrival order).
+            # the shard's pending streams advance in one feed.  The
+            # backlog (unpacked groups) is drained first, then the
+            # queue; a non-batch op ends the fold (it is served next
+            # iteration, preserving arrival order).
             fold = [message]
             while len(fold) < MAX_BATCH_FOLD:
                 if backlog:
@@ -365,11 +371,11 @@ def worker_main(worker_id: int, requests, replies,
                     for _ in fold]
             for folded, reply in zip(fold, fold_replies):
                 reply["req"] = folded.get("req")
-            # One queue put answers the whole tick.
+            # One send answers the whole tick.
             if len(fold_replies) == 1:
-                replies.put(fold_replies[0])
+                replies.send(fold_replies[0])
             else:
-                replies.put(fold_replies)
+                replies.send(fold_replies)
             continue
         try:
             if op == "open":
@@ -386,4 +392,4 @@ def worker_main(worker_id: int, requests, replies,
             reply = _error(f"worker {worker_id} failed on {op!r}: "
                            f"{error}", "worker-error")
         reply["req"] = message.get("req")
-        replies.put(reply)
+        replies.send(reply)

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core import kernels
 from repro.core.config import IntervalSpec, ProfilerConfig
 
 
@@ -19,6 +20,15 @@ def pytest_addoption(parser):
         "--update-golden", action="store_true", default=False,
         help="rewrite the golden regression fixtures under tests/golden/ "
              "from the current implementation instead of comparing")
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel():
+    """Skip tests that build the compiled loop explicitly when it cannot
+    be built here (no C compiler); ``auto`` tests run on scalar then."""
+    if kernels.library() is None:
+        pytest.skip(f"the compiled kernel cannot be built: "
+                    f"{kernels.build_error()}")
 
 
 @pytest.fixture

@@ -1,15 +1,15 @@
-"""Differential parity for the batched multi-session runner.
+"""Differential parity for multi-session batches.
 
-``backend="batched"`` folds every tenant's pending chunk into one
-ragged ``(events, segment_id)`` dispatch per tick
-(:mod:`repro.core.batched`); its contract -- like the vectorized
-kernels it builds on -- is **bit-identical** behaviour per tenant.
+Code holding pieces for many sessions at once -- the profile
+service's shard worker, through :func:`feed_many` -- hands each round's
+compiled-loop calls to one :class:`BatchedKernelRunner`; the contract
+is **bit-identical** behaviour per tenant, whatever the interleaving.
 These tests drive hypothesis-generated ragged batches (random tenant
 counts, chunk lengths 0..N, empty tenants, interval boundaries landing
 mid-tick) through the runner against per-event scalar references, pin
-the backend against the golden fixtures, and check every registered
-experiment produces byte-identical reports under ``scalar`` and
-``batched``.
+the default backend against the golden fixtures, and check every
+registered experiment produces byte-identical reports under ``scalar``
+and the default backend.
 """
 
 from __future__ import annotations
@@ -51,16 +51,15 @@ SCHEDULE = st.lists(st.integers(min_value=0, max_value=50),
 
 FLAGS = st.tuples(st.booleans(), st.booleans(), st.booleans())
 
-#: (num_tables, conservative_update) pairs covering the single-hash
-#: group, plain multi-hash, and the C1 fixpoint path.
+#: (num_tables, conservative_update) pairs covering single-hash,
+#: plain multi-hash and conservative update.
 ARCHITECTURES = st.sampled_from([(1, False), (2, False), (2, True),
                                  (4, True)])
 
 ACCUMULATORS = st.sampled_from([None, 1, 2, 4])
 
 #: Palette for heterogeneous batches: tenants drawn from these configs
-#: exercise both the grouped fold (same architecture) and the solo
-#: path (odd one out) inside one dispatch.
+#: mix architectures, flags and accumulator sizes inside one dispatch.
 PALETTE = [
     ProfilerConfig(interval=SPEC, total_entries=16, num_tables=1,
                    accumulator_entries=2),
@@ -76,8 +75,8 @@ def run_ragged(configs, event_lists, schedule):
     """Drive tenants through one shared runner, scalar refs in lockstep.
 
     Each round takes one interval-bounded piece per tenant (sizes from
-    *schedule*, cycled with a per-tenant phase shift) and folds them
-    into a single :meth:`BatchedKernelRunner.dispatch`.  The scalar
+    *schedule*, cycled with a per-tenant phase shift) and hands them
+    to a single :meth:`BatchedKernelRunner.dispatch`.  The scalar
     reference profilers consume the same pieces per event, and the
     moment any tenant closes an interval mid-batch its profile and
     stats are compared -- the "interleaved snapshot" case where one
@@ -85,8 +84,7 @@ def run_ragged(configs, event_lists, schedule):
     """
     length = SPEC.length
     runner = BatchedKernelRunner()
-    batched = [build_profiler(config.with_backend("batched"))
-               for config in configs]
+    batched = [build_profiler(config) for config in configs]
     scalar = [build_profiler(config.with_backend("scalar"))
               for config in configs]
     streams = []
@@ -97,6 +95,7 @@ def run_ragged(configs, event_lists, schedule):
         streams.append((pcs, values))
     positions = [0] * len(streams)
     round_number = 0
+    calls = 0
     while True:
         takes = []
         for tenant, (pcs, _) in enumerate(streams):
@@ -122,6 +121,7 @@ def run_ragged(configs, event_lists, schedule):
             # runner must tolerate idle tenants inside a tick.
             requests.append((batched[tenant], *piece))
             pieces.append(piece)
+            calls += take > 0
         runner.dispatch(requests)
         for tenant, (piece_pcs, piece_values) in enumerate(pieces):
             reference = scalar[tenant]
@@ -131,19 +131,18 @@ def run_ragged(configs, event_lists, schedule):
             if len(piece_pcs) and positions[tenant] % length == 0:
                 assert reference.stats.as_dict() == \
                     batched[tenant].stats.as_dict()
-                assert reference.end_interval().candidates == \
-                    batched[tenant].end_interval().candidates
+                assert list(reference.end_interval().candidates.items()) \
+                    == list(batched[tenant].end_interval().candidates
+                            .items())
         round_number += 1
-    # One dispatch() call per round; kernel chains per call are bounded
-    # by the number of distinct architecture groups in the batch.
-    assert runner.ticks == round_number
-    assert runner.dispatches <= round_number * len(set(
-        id(_cfg) for _cfg in configs))
+    # One kernel call per non-empty piece, and no call for empty ones.
+    assert runner.dispatches == calls
     return scalar, batched
 
 
 def assert_tenants_identical(scalar, batched):
-    """Full residual-state equality per tenant, scalar vs batched."""
+    """Full residual-state equality per tenant, scalar vs batched
+    (the multi-session batch on the default backend)."""
     for reference, profiler in zip(scalar, batched):
         assert reference.stats.as_dict() == profiler.stats.as_dict()
         assert reference.accumulator.rejected_inserts == \
@@ -162,8 +161,7 @@ def assert_tenants_identical(scalar, batched):
 @settings(max_examples=40, deadline=None)
 def test_ragged_same_config_parity(event_lists, flags, architecture,
                                    accumulator, schedule):
-    """Homogeneous batch: every tenant shares one architecture, so the
-    whole tick folds into a single segment-aware group."""
+    """Homogeneous batch: every tenant shares one architecture."""
     retaining, resetting, shielding = flags
     num_tables, conservative = architecture
     config = ProfilerConfig(interval=SPEC, total_entries=16,
@@ -182,8 +180,8 @@ def test_ragged_same_config_parity(event_lists, flags, architecture,
        SCHEDULE)
 @settings(max_examples=40, deadline=None)
 def test_ragged_mixed_config_parity(event_lists, picks, schedule):
-    """Heterogeneous batch: tenants span several architectures, so one
-    dispatch covers grouped folds and solo fallbacks side by side."""
+    """Heterogeneous batch: tenants span several architectures and
+    flags inside one dispatch."""
     configs = [PALETTE[picks[tenant]]
                for tenant in range(len(event_lists))]
     scalar, batched = run_ragged(configs, event_lists, schedule)
@@ -212,12 +210,11 @@ def test_ragged_adversarial_shapes():
 # ---------------------------------------------------------------------
 
 def test_feed_many_matches_individual_feeds():
-    """Folding many feeders into shared dispatches changes the number
-    of kernel calls, never the per-stream results."""
+    """Feeding many feeders in shared rounds never changes the
+    per-stream results, nor the number of kernel calls."""
     spec = IntervalSpec(length=500, threshold=0.01)
     config = ProfilerConfig(interval=spec, total_entries=64,
-                            num_tables=4, conservative_update=True,
-                            backend="batched")
+                            num_tables=4, conservative_update=True)
     streams = [benchmark_generator("gcc", seed=seed).chunk(1_700)
                for seed in (1, 2, 3)]
 
@@ -235,24 +232,24 @@ def test_feed_many_matches_individual_feeds():
          for feeder, (pcs, values) in zip(folded, streams)], runner)
     assert closed == [3, 3, 3]
 
-    # One dispatch per interval-bounded round for the whole shard
-    # (4 pieces per stream), versus one per piece per stream solo.
-    assert runner.dispatches == 4
-    assert sum(feeder.runner.dispatches for feeder in solo) == 12
+    # One kernel call per interval-bounded piece (4 per stream) of a
+    # compiled-loop profiler, folded or not; none for scalar ones.
+    compiled = folded[0].snapshot().single().profiler.supports_array_chunks
+    assert runner.dispatches == 12 * compiled
+    assert sum(feeder.runner.dispatches for feeder in solo) == 12 * compiled
 
     for alone, shared in zip(solo, folded):
         mine, theirs = alone.snapshot().single(), \
             shared.snapshot().single()
-        assert [p.candidates for p in mine.profiles] == \
-            [p.candidates for p in theirs.profiles]
+        assert [list(p.candidates.items()) for p in mine.profiles] == \
+            [list(p.candidates.items()) for p in theirs.profiles]
         assert mine.summary.series() == theirs.summary.series()
         assert mine.profiler.stats.as_dict() == \
             theirs.profiler.stats.as_dict()
 
 
 def test_feed_many_rejects_duplicate_feeders():
-    config = ProfilerConfig(interval=SPEC, total_entries=16,
-                            backend="batched")
+    config = ProfilerConfig(interval=SPEC, total_entries=16)
     feeder = ProfilingSession(config).feeder()
     chunk = np.zeros(3, dtype=np.uint64)
     with pytest.raises(ValueError, match="one batch per"):
@@ -260,22 +257,23 @@ def test_feed_many_rejects_duplicate_feeders():
 
 
 # ---------------------------------------------------------------------
-# Worker fold: one tick, one dispatch chain, per-tick stats
+# Worker fold: one tick, its kernel calls counted, per-tick stats
 # ---------------------------------------------------------------------
 
 def test_worker_fold_is_one_tick_and_matches_scalar():
     spec = IntervalSpec(length=2_000, threshold=0.01)
     batched_config = ProfilerConfig(interval=spec, total_entries=256,
                                     num_tables=4,
-                                    conservative_update=True,
-                                    backend="batched")
+                                    conservative_update=True)
     worker = _Worker(0, snapshot_intervals=8)
     streams = ["alpha", "beta", "gamma"]
     chunks = {}
     for position, stream in enumerate(streams):
         reply = worker.open({"stream": stream,
                              "config": batched_config.to_dict()})
-        assert reply["ok"] and reply["backend"] == "batched"
+        assert reply["ok"]
+        backend = reply["backend"]
+        assert backend == build_profiler(batched_config).backend
         chunks[stream] = benchmark_generator(
             "gcc", seed=17 + position).chunk(4_500)
 
@@ -300,9 +298,10 @@ def test_worker_fold_is_one_tick_and_matches_scalar():
     stats = worker.stats()["stats"]
     assert stats["ticks"] == 1
     # 4500 events over 2000-event intervals: three interval-bounded
-    # rounds, each one dispatch chain for the whole shard.
-    assert stats["kernel_dispatches"] == 3
-    assert stats["dispatches_per_tick"] == 3.0
+    # rounds, each one kernel call per compiled-loop stream.
+    calls = 9 if backend == "vectorized" else 0
+    assert stats["kernel_dispatches"] == calls
+    assert stats["dispatches_per_tick"] == float(calls)
 
     for stream in streams:
         snapshot = worker.snapshot({"stream": stream})["snapshot"]
@@ -322,9 +321,9 @@ def test_worker_fold_is_one_tick_and_matches_scalar():
             [100.0 * value for value in direct.summary.series()]
 
 
-def test_worker_counts_vectorized_kernel_calls():
-    """Vectorized tenants are fed one kernel call each, outside the
-    fold; the stats count those calls as dispatches too."""
+def test_worker_counts_vectorized_kernel_calls(compiled_kernel):
+    """Vectorized tenants are fed one kernel call each per round; the
+    stats count every call."""
     spec = IntervalSpec(length=2_000, threshold=0.01)
     config = ProfilerConfig(interval=spec, total_entries=256,
                             backend="vectorized")
@@ -348,8 +347,7 @@ def test_worker_counts_vectorized_kernel_calls():
 
 def test_worker_fold_reports_bad_streams_in_place():
     worker = _Worker(0, snapshot_intervals=8)
-    config = ProfilerConfig(interval=SPEC, total_entries=16,
-                            backend="batched")
+    config = ProfilerConfig(interval=SPEC, total_entries=16)
     worker.open({"stream": "good", "config": config.to_dict()})
     chunk = np.arange(5, dtype=np.uint64)
     replies = worker.batch_many([
@@ -367,18 +365,17 @@ def test_worker_fold_reports_bad_streams_in_place():
 
 
 # ---------------------------------------------------------------------
-# Golden fixtures: batched output pinned to the checked-in snapshots
+# Golden fixtures: a two-tenant session pinned to the checked-in
+# snapshots
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_golden_fixtures_batched(workload):
-    """A two-tenant batched session (both tenants share the fixture's
-    architecture, folding into one group) reproduces the golden
+    """A two-tenant session on the default backend (both tenants share
+    the fixture's architecture and every piece) reproduces the golden
     snapshot byte for byte -- for each tenant."""
     config = WORKLOADS[workload]()
-    session = ProfilingSession([config.with_backend("batched"),
-                                config.with_backend("batched")],
-                               keep_profiles=True)
+    session = ProfilingSession([config, config], keep_profiles=True)
     outcome = session.run(benchmark_generator("gcc", seed=GOLDEN_SEED),
                           max_intervals=GOLDEN_INTERVALS)
     path = GOLDEN_DIR / f"{workload}.json"
@@ -403,7 +400,8 @@ def test_golden_fixtures_batched(workload):
 
 
 # ---------------------------------------------------------------------
-# Experiments: every figure, scalar vs batched, byte-identical reports
+# Experiments: every figure, scalar vs the default backend,
+# byte-identical reports
 # ---------------------------------------------------------------------
 
 MICRO = replace(ExperimentScale().tiny(), benchmarks=("li",),
@@ -414,6 +412,6 @@ MICRO = replace(ExperimentScale().tiny(), benchmarks=("li",),
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_experiment_batched_matches_scalar(name):
     scalar = EXPERIMENTS[name](replace(MICRO, backend="scalar"))
-    batched = EXPERIMENTS[name](replace(MICRO, backend="batched"))
+    batched = EXPERIMENTS[name](replace(MICRO, backend="auto"))
     assert batched.tables == scalar.tables
     assert batched.data == scalar.data

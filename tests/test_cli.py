@@ -189,7 +189,8 @@ class TestServiceCommands:
 
 class TestBench:
     @pytest.mark.slow
-    def test_bench_quick_writes_report(self, tmp_path, capsys):
+    def test_bench_quick_writes_report(self, tmp_path, capsys,
+                                       compiled_kernel):
         path = tmp_path / "BENCH_kernels.json"
         assert main(["bench", "--quick", "--repeats", "1",
                      "-o", str(path)]) == 0
@@ -205,6 +206,9 @@ class TestBench:
             for row in rows.values():
                 assert row["events_per_second"] > 0
         assert set(report["speedups"]) == set(report["chunked_speedups"])
+        assert report["sessions"]
+        for session in report["sessions"]:
+            assert set(session["rows"]) == {"scalar-chunked", "vectorized"}
         # Even at smoke scale the kernels clear the per-event reference
         # by a wide margin.
         assert all(value > 2.0 for value in report["speedups"].values())

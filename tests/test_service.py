@@ -11,11 +11,15 @@ event sequence on both sides.
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.config import IntervalSpec, ProfilerConfig
 from repro.profiling.session import ProfilingSession
 from repro.service import (HashRing, ProfileClient, ProfileServer,
@@ -437,6 +441,68 @@ class TestServer:
 
 
 # ---------------------------------------------------------------------
+# A dead shard and the path each stream runs on
+# ---------------------------------------------------------------------
+
+class TestFailures:
+    def test_killed_worker_fails_fast_and_the_other_shard_serves(self):
+        (victim, survivor), shards = streams_on_distinct_shards(2, 2)
+        assert len(shards) == 2
+        events = benchmark_generator("li", seed=7).chunk(500)
+        with ProfileServer(num_workers=2) as server:
+            with ProfileClient(port=server.port, timeout=10) as client:
+                client.open_stream(victim, CONFIG)
+                client.open_stream(survivor, CONFIG)
+                handle = server._workers[server._ring.shard_for(victim)]
+                os.kill(handle.process.pid, signal.SIGKILL)
+                started = time.monotonic()
+                with pytest.raises(ServiceError) as lost:
+                    client.push(victim, *events)
+                assert lost.value.code == "worker-lost"
+                assert time.monotonic() - started < 2.0
+                # Later requests routed to the dead shard fail at once.
+                with pytest.raises(ServiceError) as again:
+                    client.snapshot(victim)
+                assert again.value.code == "worker-lost"
+                client.push(survivor, *events)
+                assert client.snapshot(survivor)["events"] == len(events[0])
+                stats = client.server_stats()
+        assert stats["server"]["workers_lost"] == 1
+        by_worker = {entry["worker"]: entry for entry in stats["workers"]}
+        assert by_worker[handle.worker_id] == {
+            "worker": handle.worker_id, "lost": True}
+        assert by_worker[1 - handle.worker_id]["events"] == len(events[0])
+        # Leaving the with block ran server.stop(), which returned.
+
+    @staticmethod
+    def open_push_stats():
+        """The backend an ``auto`` stream reports in its open reply, its
+        snapshot and ``T_STATS``."""
+        with ProfileServer(num_workers=1) as server:
+            with ProfileClient(port=server.port) as client:
+                opened = client.open_stream("auto", CONFIG)
+                client.push("auto",
+                            *benchmark_generator("li", seed=3).chunk(300))
+                snapshot = client.snapshot("auto")
+                stats = client.server_stats()
+        return (opened["backend"], snapshot["backend"],
+                stats["workers"][0]["streams"]["auto"]["backend"])
+
+    def test_auto_stream_reports_scalar_without_the_kernel(
+            self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(kernels, "_LOADED", None)
+        assert self.open_push_stats() == ("scalar",) * 3
+
+    def test_auto_stream_reports_vectorized_with_the_kernel(
+            self, monkeypatch, compiled_kernel):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert self.open_push_stats() == ("vectorized",) * 3
+
+
+# ---------------------------------------------------------------------
 # Data-plane edges: oversized frames, partial reads, plane parity
 # ---------------------------------------------------------------------
 
@@ -626,6 +692,10 @@ class TestBackendParity:
     """The same trace pushed to a scalar and a vectorized stream must
     produce byte-identical snapshots: the kernel parity guarantee has
     to survive the whole wire / worker / feeder pipeline."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self, compiled_kernel):
+        pass
 
     @staticmethod
     def push_both(trace, config, batch_events):
