@@ -23,12 +23,11 @@ bench-full:
 bench-kernels:
 	$(PYTHON) -m repro.cli bench -o benchmarks/results/BENCH_kernels.json
 
-# Service load harness: every shipped profile down both data planes
-# (legacy vs zero-copy fast path), with per-profile speedups and
-# digest-equality checks; writes benchmarks/results/BENCH_service.json.
+# Service load harness: every shipped profile against an embedded
+# server, one row each with events/s, latency percentiles, failures
+# and a profile digest; writes benchmarks/results/BENCH_service.json.
 bench-service:
-	$(PYTHON) -m repro.cli loadgen --compare \
-		-o benchmarks/results/BENCH_service.json
+	$(PYTHON) -m repro.cli loadgen -o benchmarks/results/BENCH_service.json
 
 experiments:
 	$(PYTHON) -m repro.experiments.runner all

@@ -28,10 +28,10 @@ Subcommands::
         Query a live snapshot of an open stream; ``--stats`` prints
         server and worker statistics instead.
 
-    repro-profile loadgen --compare --profile steady --profile bursty
+    repro-profile loadgen --profile steady --profile bursty
         Drive named workload profiles (steady, bursty, fan_in, mixed,
-        scenario_*) against an embedded server on both data planes and
-        write throughput/latency rows to
+        scenario_*) against an embedded server and write
+        throughput/latency rows to
         ``benchmarks/results/BENCH_service.json``.
 
     repro-profile scenario generate --config stress_test --seed 42
@@ -112,16 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="shard worker processes (default 2)")
     serve.add_argument("--max-pending", type=int, default=64,
-                       help="queued requests per worker before busy "
-                            "shedding (default 64)")
+                       help="in-flight requests per worker before "
+                            "busy shedding (default 64)")
     serve.add_argument("--snapshot-intervals", type=int, default=64,
                        help="recent per-interval profiles kept per "
                             "stream (default 64)")
-    serve.add_argument("--data-plane", default="fast",
-                       choices=["fast", "legacy"],
-                       help="batch ingest path: zero-copy grouped "
-                            "handoff ('fast', default) or the "
-                            "pre-rewrite per-op path ('legacy')")
 
     push = commands.add_parser(
         "push", help="stream events into a running server")
@@ -196,13 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "all shipped profiles; see --list)")
     loadgen.add_argument("--list", action="store_true",
                          help="list the shipped load profiles and exit")
-    loadgen.add_argument("--compare", action="store_true",
-                         help="run each profile down both data planes "
-                              "(legacy then fast) and report speedups")
-    loadgen.add_argument("--data-plane", default="fast",
-                         choices=["fast", "legacy"],
-                         help="server data plane for single-leg runs "
-                              "(default fast; ignored with --compare)")
     loadgen.add_argument("--workers", type=int, default=2,
                          help="shard worker processes (default 2)")
     loadgen.add_argument("--max-pending", type=int, default=64,
@@ -403,8 +391,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     server = ProfileServer(host=args.host, port=args.port,
                            num_workers=args.workers,
                            max_pending=args.max_pending,
-                           snapshot_intervals=args.snapshot_intervals,
-                           data_plane=args.data_plane)
+                           snapshot_intervals=args.snapshot_intervals)
     server.start()
     print(f"profile server listening on {server.host}:{server.port} "
           f"({args.workers} workers; ctrl-c to drain and stop)",
@@ -821,8 +808,9 @@ _LOADGEN_QUICK_EVENTS = 1024
 
 def _run_loadgen(args: argparse.Namespace) -> int:
     """Run named load profiles; write ``BENCH_service.json``."""
-    from .loadgen import (PROFILES, compare_profiles, get_profile,
-                          list_profiles, run_profile)
+    import os
+
+    from .loadgen import PROFILES, get_profile, list_profiles, run_profile
 
     if args.list:
         for name in list_profiles():
@@ -847,17 +835,9 @@ def _run_loadgen(args: argparse.Namespace) -> int:
                            events_cap or profile.events_per_stream)
             for profile in profiles]
 
-    def show(row):
-        print(f"{row['profile']:>24} [{row['data_plane']:>6}] "
-              f"{row['events_per_second']:>12,.0f} events/s  "
-              f"{row['requests_per_second']:>8,.0f} req/s  "
-              f"snapshot p50/p99 "
-              f"{row['snapshot_latency']['p50_ms']:.1f}/"
-              f"{row['snapshot_latency']['p99_ms']:.1f} ms  "
-              f"failures {row['failures']}")
-
     report = {
         "quick": bool(args.quick),
+        "cpu_count": os.cpu_count(),
         "workers": args.workers,
         "max_pending": args.max_pending,
         "profiles": {profile.name: {
@@ -871,32 +851,19 @@ def _run_loadgen(args: argparse.Namespace) -> int:
             "description": profile.description,
         } for profile in profiles},
     }
-    if args.compare:
-        outcome = compare_profiles(profiles, num_workers=args.workers,
-                                   max_pending=args.max_pending)
-        for row in outcome["rows"]:
-            show(row)
-        for comparison in outcome["comparisons"]:
-            match = "ok" if comparison["digest_match"] else "MISMATCH"
-            print(f"{comparison['profile']:>24} speedup "
-                  f"{comparison['speedup']:.2f}x  digests {match}")
-        report.update(outcome)
-        mismatched = [comparison["profile"]
-                      for comparison in outcome["comparisons"]
-                      if not comparison["digest_match"]]
-        if mismatched:
-            print(f"error: legacy/fast digests diverge for: "
-                  f"{', '.join(mismatched)}", file=sys.stderr)
-            return 1
-    else:
-        rows = []
-        for profile in profiles:
-            row = run_profile(profile, data_plane=args.data_plane,
-                              num_workers=args.workers,
-                              max_pending=args.max_pending)
-            show(row)
-            rows.append(row)
-        report["rows"] = rows
+    rows = []
+    for profile in profiles:
+        row = run_profile(profile, num_workers=args.workers,
+                          max_pending=args.max_pending)
+        print(f"{row['profile']:>24} "
+              f"{row['events_per_second']:>12,.0f} events/s  "
+              f"{row['requests_per_second']:>8,.0f} req/s  "
+              f"snapshot p50/p99 "
+              f"{row['snapshot_latency']['p50_ms']:.1f}/"
+              f"{row['snapshot_latency']['p99_ms']:.1f} ms  "
+              f"failures {row['failures']}")
+        rows.append(row)
+    report["rows"] = rows
     if args.output != "-":
         atomic_write_json(args.output, report)
         print(f"wrote {args.output}")

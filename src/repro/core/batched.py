@@ -1,12 +1,12 @@
-"""The kernel calls of one round of pieces, issued and counted.
+"""Issue and count the compiled loop's kernel calls.
 
-Code holding pieces for several profilers at once -- a session's
-feeder, or the profile service's shard worker folding many streams
-through :func:`~repro.profiling.session.feed_many` -- collects each
-round's ``(profiler, pcs, values)`` requests for the compiled-loop
-profilers and hands them to :meth:`BatchedKernelRunner.dispatch`.
-Each non-empty request is one call into the compiled loop
-(:mod:`repro.core.kernels`); :attr:`BatchedKernelRunner.dispatches`
+A session's feeder hands the ``(profiler, pcs, values)`` requests of
+its compiled-loop profilers for each interval-bounded piece to
+:meth:`BatchedKernelRunner.dispatch`.  The profile service's shard
+worker folds a tick through :func:`~repro.profiling.session.feed_many`:
+it feeds its streams in turn, one compiled-loop call
+(:mod:`repro.core.kernels`) per interval-bounded piece of each stream,
+all issued by one runner.  :attr:`BatchedKernelRunner.dispatches`
 counts those calls, and the service worker reports them as
 ``kernel_dispatches``.
 """
@@ -24,7 +24,7 @@ BatchRequest = Tuple[HardwareProfiler, np.ndarray, np.ndarray]
 
 
 class BatchedKernelRunner:
-    """Issue a round's kernel calls and count them."""
+    """Issue a piece's kernel calls and count them."""
 
     def __init__(self) -> None:
         #: Kernel calls issued, cumulative.

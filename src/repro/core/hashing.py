@@ -20,12 +20,15 @@ The multi-hash architecture (Section 6) needs many *independent* hash
 functions; per the paper these are obtained "by just choosing different
 random number tables used by the function randomize".
 :class:`HashFunctionFamily` derives any number of such functions from a
-single seed.
+single seed.  Like the hardwired tables they model, the functions of
+one width and seed exist once: every family hands out the same object
+while any holder keeps it alive.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -89,7 +92,7 @@ class TupleHashFunction:
     """
 
     __slots__ = ("index_bits", "table_size", "_pc_tables", "_value_tables",
-                 "_folds", "_fold_base")
+                 "_folds", "_fold_base", "__weakref__")
 
     def __init__(self, index_bits: int, seed: int) -> None:
         if not 1 <= index_bits <= 30:
@@ -209,13 +212,19 @@ def _substitute(value: int, tables: Sequence[Sequence[int]]) -> int:
     return out
 
 
+#: Functions handed out by families, by ``(index_bits, seed)``.
+_SHARED: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
 class HashFunctionFamily:
     """A family of independent hash functions sharing one master seed.
 
     ``family[i]`` is the i-th function; the family grows lazily, so a
     multi-hash profiler with ``n`` tables simply takes ``family.take(n)``.
-    Two families with the same seed produce identical functions, which
-    makes profiler runs reproducible.
+    Two families with the same width and seed return the very same
+    function objects (and so share their 2 MiB of fold tables), which
+    makes profiler runs reproducible and bounds a process's tables by
+    its distinct configurations, not its profilers.
     """
 
     def __init__(self, index_bits: int, seed: int = 0x5EED) -> None:
@@ -227,10 +236,12 @@ class HashFunctionFamily:
         if position < 0:
             raise IndexError("hash function index must be non-negative")
         while len(self._functions) <= position:
-            ordinal = len(self._functions)
-            self._functions.append(
-                TupleHashFunction(self.index_bits,
-                                  seed=_derive_seed(self.seed, ordinal)))
+            key = (self.index_bits,
+                   _derive_seed(self.seed, len(self._functions)))
+            function = _SHARED.get(key)
+            if function is None:
+                function = _SHARED[key] = TupleHashFunction(*key)
+            self._functions.append(function)
         return self._functions[position]
 
     def take(self, count: int) -> List[TupleHashFunction]:

@@ -5,12 +5,11 @@ harness that drives them against an embedded
 :class:`~repro.service.server.ProfileServer` and measures events/sec,
 requests/sec, latency percentiles, and failure rates
 (:mod:`repro.loadgen.harness`).  ``repro-profile loadgen`` and
-``make bench-service`` are the front ends; the before/after report
-lands in ``benchmarks/results/BENCH_service.json``.
+``make bench-service`` are the front ends; the report lands in
+``benchmarks/results/BENCH_service.json``.
 """
 
-from .harness import (compare_profiles, profile_digest, run_profile,
-                      write_report)
+from .harness import profile_digest, run_profile, write_report
 from .profiles import (HEADLINE_STREAMS, PROFILES, LoadProfile,
                        get_profile, list_profiles)
 
@@ -18,7 +17,6 @@ __all__ = [
     "HEADLINE_STREAMS",
     "LoadProfile",
     "PROFILES",
-    "compare_profiles",
     "get_profile",
     "list_profiles",
     "profile_digest",

@@ -1,11 +1,11 @@
 """Load harness: drive a profile server hard and measure it.
 
 The harness owns the whole measurement: it starts an embedded
-:class:`~repro.service.server.ProfileServer` (on an ephemeral port,
-with a chosen ``data_plane``), partitions a profile's tenant streams
-across a pool of connection threads, drives every tenant's full event
-budget through blocking :class:`~repro.service.client.ProfileClient`
-requests, and folds the per-thread measurements into one metrics row::
+:class:`~repro.service.server.ProfileServer` on an ephemeral port,
+partitions a profile's tenant streams across a pool of connection
+threads, drives every tenant's full event budget through blocking
+:class:`~repro.service.client.ProfileClient` requests, and folds the
+per-thread measurements into one metrics row::
 
     events/sec, requests/sec, p50/p99 push and snapshot latency,
     failure counts and rate, server-side shed/busy counters,
@@ -14,10 +14,8 @@ requests, and folds the per-thread measurements into one metrics row::
 The digest covers profile *content* only (intervals, candidates,
 error summaries, event counts) -- not operational counters like the
 number of frames a stream happened to arrive in -- so two runs that
-frame the same events differently (coalesced vs not, fast vs legacy
-plane) must produce the same digest.  ``compare_profiles`` leans on
-exactly that: it runs each profile once per data plane and reports
-the speedup next to a digest-equality check.
+frame the same events differently (coalesced or not) must produce the
+same digest.
 
 Slow readers: a profile may include clients that deliberately stop
 reading replies.  They are driven over raw sockets (a well-behaved
@@ -129,8 +127,8 @@ class _Tenant:
     window: the harness measures the service data plane, not the
     synthetic-trace generator.  The chunk() call pattern depends only
     on ``batch_events`` and the event budget -- never on *coalesce* --
-    so both data planes ship byte-identical streams and their profile
-    digests must match.
+    so runs at any coalescing factor ship byte-identical streams and
+    their profile digests must match.
     """
 
     def __init__(self, profile: LoadProfile, index: int,
@@ -274,26 +272,19 @@ def _run_slow_reader(profile: LoadProfile, port: int, index: int,
         outcome["shed"] = outcome.get("shed", 0) + 1
 
 
-def run_profile(profile: LoadProfile, *, data_plane: str = "fast",
+def run_profile(profile: LoadProfile, *,
                 num_workers: int = 2,
                 max_pending: int = 64,
                 drain_timeout: float = 2.0) -> Dict[str, Any]:
-    """Run one profile against a fresh embedded server; return its row.
-
-    ``data_plane="legacy"`` also forces ``coalesce=1`` -- the legacy
-    leg reproduces the pre-rewrite client *and* server behaviour, so a
-    fast-vs-legacy comparison measures the whole data-plane rewrite.
-    """
-    coalesce = 1 if data_plane == "legacy" else profile.coalesce
-    tenants = [_Tenant(profile, index, coalesce)
+    """Run one profile against a fresh embedded server; return its row."""
+    tenants = [_Tenant(profile, index, profile.coalesce)
                for index in range(profile.streams)]
     shares: List[List[_Tenant]] = [[] for _ in range(profile.connections)]
     for index, tenant in enumerate(tenants):
         shares[index % profile.connections].append(tenant)
     with ProfileServer(num_workers=num_workers,
                        max_pending=max_pending,
-                       drain_timeout=drain_timeout,
-                       data_plane=data_plane) as server:
+                       drain_timeout=drain_timeout) as server:
         results = [_ThreadResult() for _ in shares]
         threads = [
             threading.Thread(
@@ -315,7 +306,8 @@ def run_profile(profile: LoadProfile, *, data_plane: str = "fast",
         for thread in threads + slow_threads:
             thread.join()
         elapsed = time.perf_counter() - started
-        stats = ProfileClient(port=server.port).server_stats()
+        with ProfileClient(port=server.port) as client:
+            stats = client.server_stats()
     for result in results:
         if result.error is not None:
             raise RuntimeError(
@@ -334,11 +326,10 @@ def run_profile(profile: LoadProfile, *, data_plane: str = "fast",
     server_stats = stats.get("server", {})
     return {
         "profile": profile.name,
-        "data_plane": data_plane,
         "streams": profile.streams,
         "connections": profile.connections,
         "batch_events": profile.batch_events,
-        "coalesce": coalesce,
+        "coalesce": profile.coalesce,
         "events": events,
         "requests": requests,
         "failures": failures,
@@ -360,33 +351,6 @@ def run_profile(profile: LoadProfile, *, data_plane: str = "fast",
         },
         "digest": profile_digest(snapshots),
     }
-
-
-def compare_profiles(profiles: Sequence[LoadProfile], *,
-                     num_workers: int = 2,
-                     max_pending: int = 64) -> Dict[str, Any]:
-    """Run each profile down both data planes; report rows + speedups."""
-    rows: List[Dict[str, Any]] = []
-    comparisons: List[Dict[str, Any]] = []
-    for profile in profiles:
-        legacy = run_profile(profile, data_plane="legacy",
-                             num_workers=num_workers,
-                             max_pending=max_pending)
-        fast = run_profile(profile, data_plane="fast",
-                           num_workers=num_workers,
-                           max_pending=max_pending)
-        rows.extend([legacy, fast])
-        comparisons.append({
-            "profile": profile.name,
-            "streams": profile.streams,
-            "legacy_events_per_second": legacy["events_per_second"],
-            "fast_events_per_second": fast["events_per_second"],
-            "speedup": (fast["events_per_second"]
-                        / legacy["events_per_second"]
-                        if legacy["events_per_second"] else 0.0),
-            "digest_match": legacy["digest"] == fast["digest"],
-        })
-    return {"rows": rows, "comparisons": comparisons}
 
 
 def write_report(path: str, payload: Dict[str, Any]) -> None:

@@ -20,9 +20,9 @@ Sources:
 
 Every profile is deterministic: the per-tenant ``chunk()`` call
 pattern depends only on ``events_per_stream`` and ``batch_events``,
-never on the coalescing factor or the server's data plane, so the
-same profile pushed down the legacy and fast paths produces
-byte-identical event streams and therefore identical profile digests.
+never on the coalescing factor, so the same profile pushed at any
+coalescing factor produces byte-identical event streams and therefore
+identical profile digests.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List
 
-#: Profiles the acceptance comparison runs at 256 concurrent streams.
+#: Concurrent streams of the headline profiles (steady, bursty, mixed).
 HEADLINE_STREAMS = 256
 
 
@@ -47,8 +47,7 @@ class LoadProfile:
     events_per_stream: int
     #: Events per generation chunk (one chunk() call).
     batch_events: int
-    #: Generation chunks coalesced into one frame on the fast plane
-    #: (the legacy leg always frames one chunk per request).
+    #: Generation chunks coalesced into one frame.
     coalesce: int
     #: TCP connections; tenants are partitioned across them.
     connections: int

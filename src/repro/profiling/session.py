@@ -324,8 +324,7 @@ class SessionFeeder:
         self._distinct: List[int] = []
         self._functions = [session._hash_functions(profiler)
                            for profiler in session.profilers]
-        #: Issues and counts this feeder's kernel calls (a
-        #: :func:`feed_many` caller brings its own runner).
+        #: Issues and counts the kernel calls of :meth:`feed`.
         self.runner = BatchedKernelRunner()
         self._pieces: List[Tuple[np.ndarray, np.ndarray]] = []
         self._pending = 0
@@ -353,6 +352,12 @@ class SessionFeeder:
         smaller than an interval leaves the interval open, a larger one
         closes several intervals.
         """
+        return self._feed(pcs, values, self.runner)
+
+    def _feed(self, pcs: np.ndarray, values: np.ndarray,
+              runner: BatchedKernelRunner) -> int:
+        """:meth:`feed`, with the kernel calls issued and counted by
+        *runner*."""
         pcs = np.ascontiguousarray(pcs, dtype=np.uint64)
         values = np.ascontiguousarray(values, dtype=np.uint64)
         if pcs.shape != values.shape or pcs.ndim != 1:
@@ -366,28 +371,20 @@ class SessionFeeder:
         while offset < total:
             take = min(total - offset, length - self._pending)
             self._observe_piece(pcs[offset:offset + take],
-                                values[offset:offset + take])
+                                values[offset:offset + take], runner)
             offset += take
             if self._pending == length:
                 self._close_interval(length)
                 closed += 1
         return closed
 
-    def _observe_piece(self, pcs: np.ndarray, values: np.ndarray) -> None:
-        self.runner.dispatch(self._piece_requests(pcs, values))
-        self._account_piece(pcs, values)
+    def _observe_piece(self, pcs: np.ndarray, values: np.ndarray,
+                       runner: BatchedKernelRunner) -> None:
+        """Feed every profiler one interval-bounded piece.
 
-    def _piece_requests(self, pcs: np.ndarray, values: np.ndarray
-                        ) -> List[Tuple[HardwareProfiler,
-                                        np.ndarray, np.ndarray]]:
-        """Feed the scalar profilers one piece; return the kernel
-        requests.
-
-        Compiled-loop profilers are *not* fed here: their ``(profiler,
-        pcs, values)`` requests are returned for the caller's
-        :meth:`BatchedKernelRunner.dispatch`, which issues and counts
-        the kernel calls (together with other feeders' requests, see
-        :func:`feed_many`).
+        The scalar profilers are fed here; the compiled-loop profilers'
+        ``(profiler, pcs, values)`` requests go to *runner*, which
+        issues and counts their kernel calls.
         """
         requests: List[Tuple[HardwareProfiler,
                              np.ndarray, np.ndarray]] = []
@@ -407,10 +404,7 @@ class SessionFeeder:
                 index_lists = [function.index_array(pcs, values).tolist()
                                for function in functions]
                 profiler.observe_chunk(events, index_lists)
-        return requests
-
-    def _account_piece(self, pcs: np.ndarray, values: np.ndarray) -> None:
-        """Record a fully-observed piece in the interval bookkeeping."""
+        runner.dispatch(requests)
         self._pieces.append((pcs, values))
         self._pending += len(pcs)
         self.events_fed += len(pcs)
@@ -488,68 +482,20 @@ class SessionFeeder:
 def feed_many(items: Sequence[Tuple["SessionFeeder",
                                     np.ndarray, np.ndarray]],
               runner: Optional[BatchedKernelRunner] = None) -> List[int]:
-    """Feed one batch into each of several feeders, folding dispatches.
+    """Feed one batch into each of several feeders, in turn.
 
-    *items* holds ``(feeder, pcs, values)`` triples -- one pending
-    batch per feeder (stream).  Equivalent to calling
-    ``feeder.feed(pcs, values)`` on each in turn (the feeders'
-    split-invariance guarantee makes per-stream results independent of
-    how other streams interleave), with the compiled-loop profilers of
-    *all* feeders fed through one :meth:`BatchedKernelRunner.dispatch`
-    per round, which counts their kernel calls.  This is the profile
+    *items* holds ``(feeder, pcs, values)`` triples.  Equivalent to
+    calling ``feeder.feed(pcs, values)`` on each in order, except that
+    one *runner* issues and counts the kernel calls of every feeder
+    (by default each feeder's own runner does).  This is the profile
     service's per-shard fold: a worker advances every stream it holds
-    a batch for in one tick.
-
-    Rounds advance every feeder at most one interval-bounded piece at
-    a time so chunks never span an interval boundary (the kernels'
-    documented precondition).  Returns the number of intervals each
-    item's batch closed, in *items* order.
-
-    A *runner* may be shared across calls to keep cumulative dispatch
-    counters; by default each call uses a fresh one.
+    a batch for in one tick, one compiled-loop call per
+    interval-bounded piece of each stream.  Returns the number of
+    intervals each item's batch closed, in *items* order.
     """
-    if runner is None:
-        runner = BatchedKernelRunner()
-    if len({id(feeder) for feeder, _, _ in items}) != len(items):
-        # One item per feeder: interval splits are computed per round,
-        # so a feeder's second batch must be concatenated into its
-        # first (split-invariance makes that equivalent), not listed.
-        raise ValueError("feed_many requires at most one batch per "
-                         "feeder; concatenate per-stream batches first")
-    batches = []
-    for feeder, pcs, values in items:
-        pcs = np.ascontiguousarray(pcs, dtype=np.uint64)
-        values = np.ascontiguousarray(values, dtype=np.uint64)
-        if pcs.shape != values.shape or pcs.ndim != 1:
-            raise ValueError(
-                f"batch arrays must be parallel and 1-D, got shapes "
-                f"{pcs.shape} vs {values.shape}")
-        batches.append((feeder, pcs, values))
-    closed = [0] * len(batches)
-    offsets = [0] * len(batches)
-    while True:
-        requests: List[Tuple[HardwareProfiler,
-                             np.ndarray, np.ndarray]] = []
-        round_pieces = []
-        for position, (feeder, pcs, values) in enumerate(batches):
-            offset = offsets[position]
-            if offset >= len(pcs):
-                continue
-            take = min(len(pcs) - offset,
-                       feeder.interval.length - feeder.pending_events)
-            piece = (pcs[offset:offset + take],
-                     values[offset:offset + take])
-            offsets[position] = offset + take
-            requests.extend(feeder._piece_requests(*piece))
-            round_pieces.append((position, feeder, piece))
-        if not round_pieces:
-            return closed
-        runner.dispatch(requests)
-        for position, feeder, piece in round_pieces:
-            feeder._account_piece(*piece)
-            if feeder.pending_events == feeder.interval.length:
-                feeder._close_interval(feeder.interval.length)
-                closed[position] += 1
+    return [feeder._feed(pcs, values,
+                         feeder.runner if runner is None else runner)
+            for feeder, pcs, values in items]
 
 
 class _IntervalTruth:

@@ -11,8 +11,8 @@ can stream a recorded :class:`~repro.workloads.traces.Trace` or a
 calibrated benchmark generator in fixed-size batches, which is what the
 ``repro-profile push`` subcommand uses.
 
-Transient ``busy`` replies (shard queue full -- the server's
-backpressure signal) are retried with exponential backoff; every other
+Transient ``busy`` replies (the shard is at its in-flight bound --
+the server's backpressure signal) are retried with exponential backoff; every other
 error reply raises :class:`ServiceError`.
 
 The push helpers can *coalesce*: frame several generation chunks (or

@@ -230,14 +230,21 @@ def parse_batch_header(payload: Buffer) -> Tuple[str, int, int]:
     return stream, count, body_start
 
 
+def batch_arrays(payload: Buffer, count: int, body_start: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Zero-copy ``(pcs, values)`` views over a batch payload whose
+    header :func:`parse_batch_header` has validated."""
+    pcs = np.frombuffer(payload, dtype=WIRE_DTYPE, count=count,
+                        offset=body_start)
+    values = np.frombuffer(payload, dtype=WIRE_DTYPE, count=count,
+                           offset=body_start + count * WIRE_DTYPE.itemsize)
+    return pcs, values
+
+
 def decode_batch(payload: Buffer) -> Tuple[str, np.ndarray, np.ndarray]:
     """Parse a batch payload into ``(stream, pcs, values)``.
 
     The returned arrays are zero-copy views over *payload*.
     """
     stream, count, body_start = parse_batch_header(payload)
-    pcs = np.frombuffer(payload, dtype=WIRE_DTYPE, count=count,
-                        offset=body_start)
-    values = np.frombuffer(payload, dtype=WIRE_DTYPE, count=count,
-                           offset=body_start + count * WIRE_DTYPE.itemsize)
-    return stream, pcs, values
+    return (stream, *batch_arrays(payload, count, body_start))

@@ -2,7 +2,7 @@
 
 Architecture::
 
-    clients --TCP--> asyncio accept loop --bounded mp queues--> workers
+    clients --TCP--> asyncio accept loop --one mp queue each--> workers
                          (routing, backpressure)                 (sessions)
 
 * Each accepted connection is one coroutine reading frames in order;
@@ -16,15 +16,11 @@ Architecture::
   instead of buffering without limit, and the client backs off.  On the
   reply side, a client that stops reading is shed: if its socket
   buffer stays full past ``drain_timeout`` the connection is closed.
-* The data plane has two selectable paths (``data_plane=``).  The
-  default ``"fast"`` path validates a batch frame's header only and
-  ships the whole payload buffer to the owning shard (no per-array
-  copies), packs every op submitted in one event-loop tick into a
-  single ``group`` queue put per worker, and receives folded replies
-  as one list per read of the worker's reply pipe.  ``"legacy"``
-  reproduces the pre-rewrite plane -- per-op bounded-queue puts with
-  the event arrays copied out of each frame -- and exists so the load
-  harness can measure one against the other in the same binary.
+* Batch ingest is zero-copy: the server validates a batch frame's
+  header only and ships the whole payload buffer to the owning shard,
+  packs every op submitted in one event-loop tick into a single
+  ``group`` queue put per worker, and receives folded replies as one
+  list per read of the worker's reply pipe.
 * An oversized-but-well-formed frame is answered with a framed
   ``oversized`` error after draining its payload; the connection
   survives.  Only unframeable byte streams (bad magic, unknown type)
@@ -47,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import multiprocessing
-import queue
 import threading
 from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional
@@ -61,7 +56,7 @@ from .worker import worker_main
 #: before the connection is shed.
 DRAIN_TIMEOUT = 10.0
 
-#: Default bound on queued requests per worker.
+#: Default bound on requests in flight per worker.
 MAX_PENDING = 64
 
 #: Default per-interval profiles retained per stream for snapshots.
@@ -69,7 +64,8 @@ SNAPSHOT_INTERVALS = 64
 
 
 class WorkerBusy(Exception):
-    """The target shard's request queue is full (shed the request)."""
+    """The target shard has ``max_pending`` requests in flight (shed
+    the request)."""
 
 
 class _WorkerHandle:
@@ -85,16 +81,12 @@ class _WorkerHandle:
 
     def __init__(self, worker_id: int, max_pending: int,
                  snapshot_intervals: int,
-                 context: multiprocessing.context.BaseContext,
-                 data_plane: str = "fast") -> None:
+                 context: multiprocessing.context.BaseContext) -> None:
         self.worker_id = worker_id
-        self.data_plane = data_plane
         self.max_pending = max_pending
-        # Fast plane: the queue itself is unbounded (one grouped put
-        # per tick) and backpressure is enforced on in-flight futures.
-        # Legacy plane: the bounded queue is the backpressure.
-        maxsize = 0 if data_plane == "fast" else max_pending
-        self.requests = context.Queue(maxsize=maxsize)
+        # The queue is unbounded (one grouped put per tick);
+        # backpressure is enforced on in-flight futures.
+        self.requests = context.Queue()
         self._replies, self._reply_end = context.Pipe(duplex=False)
         self.process = context.Process(
             target=worker_main,
@@ -176,25 +168,15 @@ class _WorkerHandle:
         if self.lost:
             future.set_result(self._lost_reply())
             return future
-        if self.data_plane == "fast":
-            if len(self._futures) >= self.max_pending:
-                raise WorkerBusy(
-                    f"worker {self.worker_id} has "
-                    f"{len(self._futures)} requests in flight")
-            self._futures[request_id] = future
-            self._pending.append(message)
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                loop.call_soon(self._flush_pending)
-            return future
-        self._futures[request_id] = future
-        try:
-            self.requests.put_nowait(message)
-        except queue.Full:
-            del self._futures[request_id]
+        if len(self._futures) >= self.max_pending:
             raise WorkerBusy(
                 f"worker {self.worker_id} has "
-                f"{self.requests.maxsize} requests pending") from None
+                f"{len(self._futures)} requests in flight")
+        self._futures[request_id] = future
+        self._pending.append(message)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            loop.call_soon(self._flush_pending)
         return future
 
     def _flush_pending(self) -> None:
@@ -212,11 +194,7 @@ class _WorkerHandle:
         """Ask the worker to drain and exit; the pump stops with it."""
         self._closing = True
         if self.process.is_alive():
-            try:
-                self.requests.put({"op": "shutdown", "req": -1},
-                                  timeout=timeout)
-            except queue.Full:
-                self.process.terminate()
+            self.requests.put({"op": "shutdown", "req": -1})
             self.process.join(timeout)
             if self.process.is_alive():
                 self.process.terminate()
@@ -236,39 +214,31 @@ class ProfileServer:
     num_workers:
         Shard processes; streams are consistent-hashed across them.
     max_pending:
-        Bound on queued requests per worker before ``busy`` shedding.
+        Bound on requests in flight per worker before ``busy``
+        shedding.
     drain_timeout:
         Seconds a slow client may leave replies unread before its
         connection is closed.
     snapshot_intervals:
         Most recent per-interval profiles retained per stream.
-    data_plane:
-        ``"fast"`` (default) for zero-copy batch ingest with grouped
-        queue handoff, ``"legacy"`` for the pre-rewrite per-op path
-        (kept for before/after measurement; results are identical).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  num_workers: int = 2,
                  max_pending: int = MAX_PENDING,
                  drain_timeout: float = DRAIN_TIMEOUT,
-                 snapshot_intervals: int = SNAPSHOT_INTERVALS,
-                 data_plane: str = "fast") -> None:
+                 snapshot_intervals: int = SNAPSHOT_INTERVALS) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, "
                              f"got {num_workers}")
-        if data_plane not in ("fast", "legacy"):
-            raise ValueError(f"data_plane must be 'fast' or 'legacy', "
-                             f"got {data_plane!r}")
         self.host = host
         self.port = port
         self.num_workers = num_workers
         self.drain_timeout = drain_timeout
-        self.data_plane = data_plane
         context = multiprocessing.get_context()
         self._workers = [
             _WorkerHandle(worker_id, max_pending, snapshot_intervals,
-                          context, data_plane)
+                          context)
             for worker_id in range(num_workers)]
         self._ring = HashRing(range(num_workers))
         self._streams: Dict[str, int] = {}
@@ -457,19 +427,12 @@ class ProfileServer:
     async def _dispatch(self, msg_type: int, payload: bytes) -> bytes:
         loop = asyncio.get_running_loop()
         if msg_type == protocol.T_BATCH:
-            if self.data_plane == "fast":
-                # Validate the header only and ship the payload whole:
-                # the worker builds its numpy views over this buffer,
-                # so the event arrays are never copied server-side.
-                stream, count, body_start = \
-                    protocol.parse_batch_header(payload)
-                op = {"op": "batch", "stream": stream,
-                      "buffer": payload, "count": count,
-                      "offset": body_start}
-            else:
-                stream, pcs, values = protocol.decode_batch(payload)
-                op = {"op": "batch", "stream": stream,
-                      "pcs": pcs.tobytes(), "values": values.tobytes()}
+            # Validate the header only and ship the payload whole: the
+            # worker builds its numpy views over this buffer, so the
+            # event arrays are never copied server-side.
+            stream, count, body_start = protocol.parse_batch_header(payload)
+            op = {"op": "batch", "stream": stream, "buffer": payload,
+                  "count": count, "offset": body_start}
             reply = await self._worker_for(stream).submit(loop, op)
             return self._reply_frame(reply)
         body = protocol.decode_json(payload)
@@ -526,7 +489,6 @@ class ProfileServer:
                 "host": self.host,
                 "port": self.port,
                 "num_workers": self.num_workers,
-                "data_plane": self.data_plane,
                 "connections_total": self._connections_total,
                 "connections_active": self._connections_active,
                 "frames": self._frames,

@@ -1,7 +1,7 @@
 """Shard worker: owns profiling sessions, one process per shard.
 
-A worker is a ``multiprocessing`` process looping over a bounded
-request queue.  Each open stream maps to one
+A worker is a ``multiprocessing`` process looping over its request
+queue.  Each open stream maps to one
 :class:`~repro.profiling.session.SessionFeeder` driving a
 :class:`~repro.profiling.session.ProfilingSession` through the chunked
 path -- event batches arrive as raw ``uint64`` buffers and go straight
@@ -30,7 +30,7 @@ import numpy as np
 from ..core.batched import BatchedKernelRunner
 from ..core.config import ProfilerConfig
 from ..profiling.session import ProfilingSession, SessionFeeder, feed_many
-from .protocol import WIRE_DTYPE
+from .protocol import batch_arrays
 
 #: Closed-stream snapshots retained for late queries, per worker.
 MAX_FINISHED_STREAMS = 128
@@ -39,29 +39,6 @@ MAX_FINISHED_STREAMS = 128
 #: latency for the first op of a tick while still advancing every
 #: stream a busy shard has pending in one feed.
 MAX_BATCH_FOLD = 256
-
-
-def _batch_arrays(message: Dict[str, Any]) -> "tuple[np.ndarray, np.ndarray]":
-    """Decode one ``batch`` op's event arrays, either message shape.
-
-    The fast data plane ships the whole wire payload (``buffer`` plus
-    ``count``/``offset`` from :func:`~repro.service.protocol.
-    parse_batch_header``), so the arrays here are zero-copy views over
-    the single buffer that crossed the process boundary.  The legacy
-    shape carries the two arrays as separate ``pcs``/``values`` byte
-    strings copied out of the frame.
-    """
-    buffer = message.get("buffer")
-    if buffer is not None:
-        count = message["count"]
-        offset = message["offset"]
-        pcs = np.frombuffer(buffer, dtype=WIRE_DTYPE, count=count,
-                            offset=offset)
-        values = np.frombuffer(buffer, dtype=WIRE_DTYPE, count=count,
-                               offset=offset + count * WIRE_DTYPE.itemsize)
-        return pcs, values
-    return (np.frombuffer(message["pcs"], dtype=WIRE_DTYPE),
-            np.frombuffer(message["values"], dtype=WIRE_DTYPE))
 
 
 class _StreamState:
@@ -142,8 +119,6 @@ class _Worker:
         self.runner = BatchedKernelRunner()
         #: Folded feeds served (each covers >= 1 ``batch`` ops).
         self.ticks = 0
-        #: Compiled-loop calls those ticks issued.
-        self.dispatches = 0
 
     # -- operations ----------------------------------------------------
 
@@ -172,13 +147,13 @@ class _Worker:
                    ) -> List[Dict[str, Any]]:
         """Serve several ``batch`` ops as one folded feed (one tick).
 
-        All target streams advance through :func:`feed_many`, one
-        interval-bounded piece per stream per round, with every
-        compiled-loop call of the round issued and counted by
-        :attr:`runner`.  Several ops for one stream are concatenated in
-        arrival order (equivalent by the feeder's split-invariance);
-        the stream's total ``intervals_closed`` is reported on its
-        last op of the tick.  Returns one reply per message, in order.
+        The target streams are fed in turn through :func:`feed_many`,
+        one compiled-loop call per interval-bounded piece of each
+        stream, every call issued and counted by :attr:`runner`.
+        Several ops for one stream are concatenated in arrival order
+        (equivalent by the feeder's split-invariance); the stream's
+        total ``intervals_closed`` is reported on its last op of the
+        tick.  Returns one reply per message, in order.
         """
         replies: List[Dict[str, Any]] = [None] * len(messages)
         op_ids: Dict[str, List[int]] = {}
@@ -196,7 +171,12 @@ class _Worker:
         items = []
         fed_events: Dict[str, int] = {}
         for stream in order:
-            arrays = [_batch_arrays(messages[i]) for i in op_ids[stream]]
+            # Zero-copy views over each frame's payload, which the
+            # server ships whole.
+            arrays = [batch_arrays(messages[i]["buffer"],
+                                   messages[i]["count"],
+                                   messages[i]["offset"])
+                      for i in op_ids[stream]]
             if len(arrays) == 1:
                 pcs, values = arrays[0]
             else:
@@ -206,11 +186,9 @@ class _Worker:
             fed_events[stream] = len(pcs)
         if items:
             started = time.perf_counter()
-            dispatches_before = self.runner.dispatches
             closed_by_item = feed_many(items, self.runner)
             self.busy_seconds += time.perf_counter() - started
             self.ticks += 1
-            self.dispatches += self.runner.dispatches - dispatches_before
         else:
             closed_by_item = []
         for stream, closed in zip(order, closed_by_item):
@@ -270,8 +248,8 @@ class _Worker:
             "chunk_latency_ms": (1000.0 * busy / self.batches
                                  if self.batches else 0.0),
             "ticks": self.ticks,
-            "kernel_dispatches": self.dispatches,
-            "dispatches_per_tick": (self.dispatches / self.ticks
+            "kernel_dispatches": self.runner.dispatches,
+            "dispatches_per_tick": (self.runner.dispatches / self.ticks
                                     if self.ticks else 0.0),
             "streams_open": len(self.streams),
             "streams_opened": self.streams_opened,
@@ -310,10 +288,11 @@ def worker_main(worker_id: int, requests, replies,
     ``req`` (the correlation id echoed on the reply).  Unknown ops are
     answered with an error rather than crashing the shard.
 
-    The fast data plane packs many ops into one ``group`` message per
-    queue put; the group is unpacked onto the backlog in order, so one
-    dequeue (one pickle round trip) serves a whole server tick.  Folded
-    batch replies likewise travel back as one list per send.
+    The server packs the ops of one event-loop tick into one ``group``
+    message per queue put; the group is unpacked onto the backlog in
+    order, so one dequeue (one pickle round trip) serves a whole server
+    tick.  Folded batch replies likewise travel back as one list per
+    send.
     """
     # A terminal ctrl-c signals the whole foreground process group;
     # shutdown is coordinated by the server via the request queue, so
@@ -328,8 +307,8 @@ def worker_main(worker_id: int, requests, replies,
         message = backlog.popleft() if backlog else requests.get()
         op = message.get("op")
         if op == "group":
-            # One queue put carrying many ops (fast data plane);
-            # unpack in order ahead of anything still on the queue.
+            # One queue put carrying many ops; unpack in order ahead
+            # of anything still on the queue.
             backlog.extendleft(reversed(message.get("ops") or ()))
             continue
         if op == "shutdown":

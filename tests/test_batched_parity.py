@@ -1,7 +1,7 @@
 """Differential parity for multi-session batches.
 
 Code holding pieces for many sessions at once -- the profile
-service's shard worker, through :func:`feed_many` -- hands each round's
+service's shard worker, through :func:`feed_many` -- hands their
 compiled-loop calls to one :class:`BatchedKernelRunner`; the contract
 is **bit-identical** behaviour per tenant, whatever the interleaving.
 These tests drive hypothesis-generated ragged batches (random tenant
@@ -32,6 +32,7 @@ from repro.workloads.benchmarks import benchmark_generator
 
 from test_golden import (GOLDEN_DIR, INTERVALS as GOLDEN_INTERVALS,
                          SEED as GOLDEN_SEED, WORKLOADS)
+from test_service import batch_op
 
 SPEC = IntervalSpec(length=200, threshold=0.05)  # threshold_count 10
 
@@ -210,7 +211,7 @@ def test_ragged_adversarial_shapes():
 # ---------------------------------------------------------------------
 
 def test_feed_many_matches_individual_feeds():
-    """Feeding many feeders in shared rounds never changes the
+    """Feeding many feeders through one runner never changes the
     per-stream results, nor the number of kernel calls."""
     spec = IntervalSpec(length=500, threshold=0.01)
     config = ProfilerConfig(interval=spec, total_entries=64,
@@ -248,12 +249,23 @@ def test_feed_many_matches_individual_feeds():
             theirs.profiler.stats.as_dict()
 
 
-def test_feed_many_rejects_duplicate_feeders():
-    config = ProfilerConfig(interval=SPEC, total_entries=16)
-    feeder = ProfilingSession(config).feeder()
-    chunk = np.zeros(3, dtype=np.uint64)
-    with pytest.raises(ValueError, match="one batch per"):
-        feed_many([(feeder, chunk, chunk), (feeder, chunk, chunk)])
+def test_feed_many_feeds_a_repeated_feeder_in_order():
+    """Two batches for one feeder in one call are fed in turn, like
+    one concatenated batch."""
+    spec = IntervalSpec(length=500, threshold=0.01)
+    config = ProfilerConfig(interval=spec, total_entries=64,
+                            num_tables=4, conservative_update=True)
+    pcs, values = benchmark_generator("gcc", seed=5).chunk(1_300)
+    whole = ProfilingSession(config, keep_profiles=True).feeder()
+    assert whole.feed(pcs, values) == 2
+    split = ProfilingSession(config, keep_profiles=True).feeder()
+    assert feed_many([(split, pcs[:700], values[:700]),
+                      (split, pcs[700:], values[700:])]) == [1, 1]
+    mine, theirs = whole.snapshot().single(), split.snapshot().single()
+    assert [list(p.candidates.items()) for p in mine.profiles] == \
+        [list(p.candidates.items()) for p in theirs.profiles]
+    assert mine.profiler.stats.as_dict() == theirs.profiler.stats.as_dict()
+    assert split.pending_events == whole.pending_events == 300
 
 
 # ---------------------------------------------------------------------
@@ -285,9 +297,7 @@ def test_worker_fold_is_one_tick_and_matches_scalar():
         half = len(pcs) // 2
         for piece in ((pcs[:half], values[:half]),
                       (pcs[half:], values[half:])):
-            messages.append({"stream": stream,
-                             "pcs": piece[0].tobytes(),
-                             "values": piece[1].tobytes()})
+            messages.append(batch_op(stream, *piece))
     replies = worker.batch_many(messages)
     assert all(reply["ok"] for reply in replies)
     for ordinal, reply in enumerate(replies):
@@ -298,7 +308,7 @@ def test_worker_fold_is_one_tick_and_matches_scalar():
     stats = worker.stats()["stats"]
     assert stats["ticks"] == 1
     # 4500 events over 2000-event intervals: three interval-bounded
-    # rounds, each one kernel call per compiled-loop stream.
+    # pieces per stream, each one kernel call on the compiled loop.
     calls = 9 if backend == "vectorized" else 0
     assert stats["kernel_dispatches"] == calls
     assert stats["dispatches_per_tick"] == float(calls)
@@ -322,7 +332,7 @@ def test_worker_fold_is_one_tick_and_matches_scalar():
 
 
 def test_worker_counts_vectorized_kernel_calls(compiled_kernel):
-    """Vectorized tenants are fed one kernel call each per round; the
+    """Vectorized tenants are fed one kernel call each per piece; the
     stats count every call."""
     spec = IntervalSpec(length=2_000, threshold=0.01)
     config = ProfilerConfig(interval=spec, total_entries=256,
@@ -335,8 +345,7 @@ def test_worker_counts_vectorized_kernel_calls(compiled_kernel):
         assert reply["ok"] and reply["backend"] == "vectorized"
         pcs, values = benchmark_generator("gcc",
                                           seed=31 + position).chunk(100)
-        messages.append({"stream": stream, "pcs": pcs.tobytes(),
-                         "values": values.tobytes()})
+        messages.append(batch_op(stream, pcs, values))
     assert all(reply["ok"] for reply in worker.batch_many(messages))
 
     stats = worker.stats()["stats"]
@@ -350,12 +359,11 @@ def test_worker_fold_reports_bad_streams_in_place():
     config = ProfilerConfig(interval=SPEC, total_entries=16)
     worker.open({"stream": "good", "config": config.to_dict()})
     chunk = np.arange(5, dtype=np.uint64)
+    empty = np.zeros(0, dtype=np.uint64)
     replies = worker.batch_many([
-        {"stream": "good", "pcs": chunk.tobytes(),
-         "values": chunk.tobytes()},
-        {"stream": "ghost", "pcs": b"", "values": b""},
-        {"stream": "good", "pcs": chunk.tobytes(),
-         "values": chunk.tobytes()},
+        batch_op("good", chunk, chunk),
+        batch_op("ghost", empty, empty),
+        batch_op("good", chunk, chunk),
     ])
     assert replies[0]["ok"] and replies[2]["ok"]
     assert not replies[1]["ok"]

@@ -1,12 +1,18 @@
 """Tests for the paper's hash function family (repro.core.hashing)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import hashing
+from repro.core.config import SHORT_INTERVAL, best_multi_hash
 from repro.core.hashing import (HashFunctionFamily, TupleHashFunction, flip,
                                 xor_fold)
+from repro.core.multi_hash import build_profiler
 
 U64 = st.integers(min_value=0, max_value=2 ** 64 - 1)
 
@@ -120,3 +126,30 @@ class TestHashFunctionFamily:
     def test_rejects_negative_index(self):
         with pytest.raises(IndexError):
             HashFunctionFamily(9)[(-1)]
+
+    def test_equal_families_share_functions(self):
+        shared = HashFunctionFamily(9, seed=5).take(3)
+        again = HashFunctionFamily(9, seed=5).take(3)
+        assert all(one is two for one, two in zip(shared, again))
+        assert HashFunctionFamily(9, seed=6)[0] is not shared[0]
+        assert HashFunctionFamily(10, seed=5)[0] is not shared[0]
+        # A directly built function is its own, equal but unshared.
+        direct = TupleHashFunction(9, seed=hashing._derive_seed(5, 0))
+        assert direct is not shared[0]
+        assert direct((0xDEAD, 0xBEEF)) == shared[0]((0xDEAD, 0xBEEF))
+
+    def test_unheld_functions_are_freed(self):
+        function = HashFunctionFamily(9, seed=0xF4EE)[0]
+        key = (9, hashing._derive_seed(0xF4EE, 0))
+        assert hashing._SHARED[key] is function
+        alive = weakref.ref(function)
+        del function
+        gc.collect()
+        assert alive() is None
+        assert key not in hashing._SHARED
+
+    def test_profilers_of_one_config_share_fold_tables(self):
+        config = best_multi_hash(SHORT_INTERVAL)
+        first, second = build_profiler(config), build_profiler(config)
+        assert first.hash_functions[0].fold_tables()[0] is \
+            second.hash_functions[0].fold_tables()[0]

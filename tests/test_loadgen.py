@@ -1,12 +1,14 @@
 """Tests for the service load harness (repro.loadgen).
 
-The expensive full-scale comparisons live in ``make bench-service``;
-here every run is scaled down to a few tenants so the suite stays
-fast, while still exercising the real embedded server down both data
-planes, the digest machinery, and slow-reader shedding end to end.
+The expensive full-scale runs live in ``make bench-service``; here
+every run is scaled down to a few tenants so the suite stays fast,
+while still exercising the real embedded server, coalescing, the
+digest machinery, and slow-reader shedding end to end.
 """
 
 import dataclasses
+import gc
+import warnings
 
 import pytest
 
@@ -14,7 +16,6 @@ from repro.loadgen import (
     HEADLINE_STREAMS,
     PROFILES,
     LoadProfile,
-    compare_profiles,
     get_profile,
     list_profiles,
     profile_digest,
@@ -85,25 +86,31 @@ class TestProfileDigest:
 
 
 class TestHarness:
-    def test_compare_planes_small_steady(self):
+    def test_coalescing_keeps_the_digest_small_steady(self):
         profile = get_profile("steady").scaled(streams_cap=8,
                                                events_cap=512)
-        report = compare_profiles([profile])
-        assert len(report["rows"]) == 2
-        legacy, fast = report["rows"]
-        assert legacy["data_plane"] == "legacy"
-        assert fast["data_plane"] == "fast"
-        for row in report["rows"]:
+        assert profile.coalesce > 1
+        single = run_profile(dataclasses.replace(profile, coalesce=1))
+        coalesced = run_profile(profile)
+        for row in (single, coalesced):
             assert row["events"] == profile.total_events
             assert row["failures"] == 0
             assert row["events_per_second"] > 0
             assert row["push_latency"]["samples"] > 0
-        # The legacy leg frames one chunk per request; the fast leg
-        # coalesces, so it must issue strictly fewer requests.
-        assert fast["requests"] < legacy["requests"]
-        (comparison,) = report["comparisons"]
-        assert comparison["digest_match"] is True
-        assert comparison["speedup"] > 0
+        # One chunk per request against several: the same events in
+        # strictly fewer requests, with the same profiles.
+        assert coalesced["requests"] < single["requests"]
+        assert coalesced["digest"] == single["digest"]
+
+    def test_run_profile_leaves_no_socket_open(self):
+        profile = get_profile("steady").scaled(streams_cap=4,
+                                               events_cap=256)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_profile(profile)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_scenario_profile_round_trip(self):
         profile = get_profile("scenario_heavy_hitters").scaled(

@@ -46,6 +46,16 @@ def direct_run(trace: Trace, config: ProfilerConfig = CONFIG):
                             keep_profiles=True).run(trace).single()
 
 
+def batch_op(stream: str, pcs, values) -> dict:
+    """A worker ``batch`` op built as the server's ``_dispatch`` builds
+    it from a ``T_BATCH`` frame."""
+    payload = protocol.encode_batch(stream, pcs,
+                                    values)[protocol.HEADER.size:]
+    stream, count, offset = protocol.parse_batch_header(payload)
+    return {"op": "batch", "stream": stream, "buffer": payload,
+            "count": count, "offset": offset}
+
+
 def streams_on_distinct_shards(num_workers: int, count: int):
     """Stream ids guaranteed to land on *count* distinct shards."""
     ring = HashRing(range(num_workers))
@@ -252,8 +262,8 @@ class TestWorker:
 
     def test_batch_unknown_stream_fails(self):
         worker = _Worker(0, snapshot_intervals=8)
-        reply = worker.batch({"stream": "nope", "pcs": b"",
-                              "values": b""})
+        empty = np.zeros(0, dtype=np.uint64)
+        reply = worker.batch(batch_op("nope", empty, empty))
         assert not reply["ok"] and reply["code"] == "unknown-stream"
 
     def test_bad_config_reported(self):
@@ -266,9 +276,7 @@ class TestWorker:
         self._open(worker)
         trace = make_trace("li", seed=3,
                            events=INTERVAL.length + 500)
-        worker.batch({"stream": "s1",
-                      "pcs": trace.pcs.tobytes(),
-                      "values": trace.values.tobytes()})
+        worker.batch(batch_op("s1", trace.pcs, trace.values))
         reply = worker.drain()
         assert reply["ok"] and reply["drained"] == ["s1"]
         final = worker.finished["s1"]
@@ -280,9 +288,7 @@ class TestWorker:
         worker = _Worker(3, snapshot_intervals=8)
         self._open(worker)
         trace = make_trace("li", seed=4, events=3000)
-        worker.batch({"stream": "s1",
-                      "pcs": trace.pcs.tobytes(),
-                      "values": trace.values.tobytes()})
+        worker.batch(batch_op("s1", trace.pcs, trace.values))
         stats = worker.stats()["stats"]
         assert stats["worker"] == 3
         assert stats["events"] == 3000
@@ -599,12 +605,10 @@ class TestDataPlaneEdges:
         body = client._request(b"")
         assert body == {"ok": True, "n": 7}
 
-    @pytest.mark.parametrize("data_plane", ["legacy", "fast"])
-    def test_both_planes_match_direct_run(self, data_plane):
+    def test_pushed_batches_match_direct_run(self):
         trace = make_trace("gcc", seed=21, events=3 * INTERVAL.length)
         direct = direct_run(trace)
-        with ProfileServer(num_workers=2,
-                           data_plane=data_plane) as server:
+        with ProfileServer(num_workers=2) as server:
             with ProfileClient(port=server.port) as client:
                 client.open_stream("plane", CONFIG)
                 client.push_trace("plane", trace, batch_events=777)
@@ -626,16 +630,16 @@ class TestDataPlaneEdges:
         assert snapshots["single"] == snapshots["coalesced"]
 
     def test_grouped_ops_preserve_per_stream_order(self):
-        """Many tenants multiplexed on one connection down the fast
-        plane (grouped queue handoff) still apply each stream's
-        batches in order: every stream matches its direct run."""
+        """Many tenants multiplexed on one connection (grouped queue
+        handoff) still apply each stream's batches in order: every
+        stream matches its direct run."""
         streams = [f"order-{i}" for i in range(6)]
         traces = {stream: make_trace("gcc", seed=30 + i,
                                      events=2 * INTERVAL.length)
                   for i, stream in enumerate(streams)}
         direct = {stream: direct_run(trace)
                   for stream, trace in traces.items()}
-        with ProfileServer(num_workers=2, data_plane="fast") as server:
+        with ProfileServer(num_workers=2) as server:
             with ProfileClient(port=server.port) as client:
                 for stream in streams:
                     client.open_stream(stream, CONFIG)
