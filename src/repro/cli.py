@@ -151,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=7,
                        help="stream seed (default 7)")
     bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repeats per chunked row, best taken "
-                            "(default 3; the per-event row runs once)")
+                       help="timed repeats per chunked or truth row, "
+                            "best taken (default 3; the per-event row "
+                            "runs once)")
     bench.add_argument("--quick", action="store_true",
                        help="tiny operating points for CI smoke runs")
     bench.add_argument("-o", "--output",
@@ -517,6 +518,52 @@ def _bench_feed_vectorized(profiler, pcs, values, spec):
             profiler.end_interval()
 
 
+def _bench_truth(pcs, values, spec, repeats, time_module):
+    """Time the interval truth step on each path.
+
+    *pcs* and *values* are cut into intervals of *spec* and each
+    interval into ``CHUNK_EVENTS``-event pieces, as the session cuts a
+    generated stream; an interval's truth is its pair count plus its
+    candidates, exactly what ``_interval_truth`` builds.  Returns the
+    row of the ``truth`` table: ms per interval on the NumPy sort and
+    on the compiled pair table, each the best of *repeats*.
+    """
+    from .core.kernels import HashedPairCounts, SortedPairCounts
+    from .profiling.session import CHUNK_EVENTS, _IntervalTruth
+
+    length = spec.length
+    intervals = [[(pcs[lo:min(lo + CHUNK_EVENTS, start + length)],
+                   values[lo:min(lo + CHUNK_EVENTS, start + length)])
+                  for lo in range(start, start + length, CHUNK_EVENTS)]
+                 for start in range(0, len(pcs), length)]
+    threshold = spec.threshold_count
+    rows = {}
+    for path, count in (("numpy", SortedPairCounts),
+                        ("compiled", HashedPairCounts)):
+        best = None
+        for _ in range(repeats):
+            started = time_module.perf_counter()
+            for pieces in intervals:
+                _IntervalTruth(count(pieces), threshold)
+            elapsed = time_module.perf_counter() - started
+            best = elapsed if best is None else min(best, elapsed)
+        rows[path] = {"ms_per_interval": 1e3 * best / len(intervals)}
+    counts = [SortedPairCounts(pieces) for pieces in intervals]
+    return {
+        "interval_length": length,
+        "threshold": spec.threshold,
+        "intervals": len(intervals),
+        "piece_events": CHUNK_EVENTS,
+        "distinct_per_interval": sum(c.distinct for c in counts)
+        / len(counts),
+        "candidates_per_interval": sum(len(c.at_least(threshold)[0])
+                                       for c in counts) / len(counts),
+        "rows": rows,
+        "speedup": (rows["numpy"]["ms_per_interval"]
+                    / rows["compiled"]["ms_per_interval"]),
+    }
+
+
 #: Multi-session operating point: concurrent sessions advance in
 #: lockstep ticks of a small per-session chunk -- the latency-bound
 #: streaming regime of the profile service, where the fixed cost of
@@ -596,9 +643,11 @@ def _run_bench(args: argparse.Namespace) -> int:
     interval boundaries; only profiler work is timed.  The headline
     speedup is vectorized vs the per-event reference; the
     chunked-baseline speedup is reported alongside so the comparison
-    against the tuned scalar path stays honest.  A second table serves
-    1, 8 and 64 concurrent sessions in 100-event ticks, where each
-    call's fixed cost counts.
+    against the tuned scalar path stays honest.  A second table times
+    the interval truth step at the same operating points, on the NumPy
+    sort and on the compiled pair table.  A third serves 1, 8 and 64
+    concurrent sessions in 100-event ticks, where each call's fixed
+    cost counts.
     """
     import json
     import os
@@ -656,6 +705,20 @@ def _run_bench(args: argparse.Namespace) -> int:
                 "speedup_vs_scalar": speedup,
                 "speedup_vs_chunked": chunked,
             })
+
+    # -- the interval truth step ----------------------------------------
+    truth = []
+    for point, length, threshold, intervals in points:
+        pcs, values = benchmark_generator(
+            args.benchmark, seed=args.seed).chunk(length * intervals)
+        row = _bench_truth(pcs, values, IntervalSpec(length, threshold),
+                           max(1, args.repeats), time)
+        for path, timing in row["rows"].items():
+            print(f"truth {point:>5} {path:>8}: "
+                  f"{timing['ms_per_interval']:>8.2f} ms/interval")
+        print(f"truth {point:>5}  speedup: {row['speedup']:.1f}x "
+              f"compiled vs numpy")
+        truth.append({"point": point, **row})
 
     # -- concurrent sessions in small ticks ----------------------------
     session_counts = (_BENCH_QUICK_SESSION_COUNTS if args.quick
@@ -724,6 +787,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         "workloads": workloads,
         "speedups": speedups,
         "chunked_speedups": chunked_speedups,
+        "truth": truth,
         "sessions": sessions_out,
         "session_speedups": session_speedups,
     }

@@ -1,18 +1,25 @@
 /*
- * The per-event loop of the hash-table profilers (Sections 5-6).
+ * The per-event loop of the hash-table profilers (Sections 5-6), and
+ * the exact pair count of the perfect profiler they are scored
+ * against (Section 5.5).
  *
- * One call feeds a chunk of (pc, value) events through one profiler,
- * event by event, with exactly the semantics of the scalar observe()
- * in single_hash.py / multi_hash.py: a shielded accumulator lookup,
- * the hash of every table from its folded 16-bit chunk tables, the
- * counter update (plain, or conservative: only the minimum counters),
- * the promotion test, and at most one accumulator insert.
+ * repro_observe() feeds a chunk of (pc, value) events through one
+ * profiler, event by event, with exactly the semantics of the scalar
+ * observe() in single_hash.py / multi_hash.py: a shielded accumulator
+ * lookup, the hash of every table from its folded 16-bit chunk tables,
+ * the counter update (plain, or conservative: only the minimum
+ * counters), the promotion test, and at most one accumulator insert.
+ *
+ * repro_count_pairs() adds one piece of an interval to an
+ * open-addressed table that counts every distinct (pc, value) pair;
+ * repro_lookup_pairs() reads counts back from it.
  *
  * repro.core.kernels compiles this file once with the system C
- * compiler and calls repro_observe() through ctypes.  All state lives
- * in arrays the Python side allocated: the int64 counter tables, the
- * hash functions' fold tables, and the accumulator's entry arrays with
- * their open-addressed index.  Nothing is allocated here.
+ * compiler and calls it through ctypes.  All state lives in arrays the
+ * Python side allocated: the int64 counter tables, the hash functions'
+ * fold tables, the accumulator's entry arrays with their
+ * open-addressed index, and an interval's pair table.  Nothing is
+ * allocated here.
  */
 
 #include <stdint.h>
@@ -256,4 +263,98 @@ void repro_observe(repro_state *s, const uint64_t *pcs,
     s->counts[COUNT_EVENTS] += n;
     s->counts[COUNT_HITS] += hits;
     s->counts[COUNT_UPDATES] += updates;
+}
+
+/* One distinct pair of an interval and its exact count. */
+typedef struct {
+    uint64_t pc;
+    uint64_t value;
+    int64_t count;
+} repro_pair;
+
+/* Mirrors kernels._PairTable field for field.  The Python side sizes
+ * the table from the interval's event count before the first call, so
+ * the entries never run out and the slots stay at most half full. */
+typedef struct {
+    uint64_t seed[2];
+    int64_t slot_mask;
+    int64_t size;            /* entries in use: the distinct pairs */
+    int32_t *slots;          /* entry number or SLOT_EMPTY */
+    repro_pair *entries;     /* in first-seen order */
+} repro_pair_table;
+
+/* MurmurHash3's 64-bit finalizer, a bijection. */
+static inline uint64_t mix64(uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xFF51AFD7ED558CCDULL;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ULL;
+    x ^= x >> 33;
+    return x;
+}
+
+/* First slot of (pc, value).  key_hash above applies a fixed,
+ * invertible mixer to pc * K ^ value, so anyone could craft pairs that
+ * share one probe chain and make the count quadratic; here both fields
+ * pass through the mixer with a per-process seed, which the crafter
+ * does not know. */
+static inline uint64_t pair_slot(const repro_pair_table *t, uint64_t pc,
+                                 uint64_t value)
+{
+    return mix64(mix64(pc ^ t->seed[0]) ^ value ^ t->seed[1])
+           & (uint64_t)t->slot_mask;
+}
+
+/* The slot that holds the entry of (pc, value), or else the empty slot
+ * that ends its probe chain. */
+static inline uint64_t pair_position(const repro_pair_table *t,
+                                     uint64_t pc, uint64_t value)
+{
+    const int32_t *slots = t->slots;
+    const repro_pair *entries = t->entries;
+    const uint64_t mask = (uint64_t)t->slot_mask;
+    uint64_t position = pair_slot(t, pc, value);
+    for (;;) {
+        const int32_t entry = slots[position];
+        if (entry == SLOT_EMPTY || (entries[entry].pc == pc
+                                    && entries[entry].value == value))
+            return position;
+        position = (position + 1) & mask;
+    }
+}
+
+void repro_count_pairs(repro_pair_table *t, const uint64_t *pcs,
+                       const uint64_t *values, int64_t n)
+{
+    /* Locals, so that the stores into the entries need not reload them. */
+    const repro_pair_table table = *t;
+    int32_t *slots = t->slots;
+    repro_pair *entries = t->entries;
+    int64_t size = t->size;
+
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t position = pair_position(&table, pcs[i], values[i]);
+        const int32_t entry = slots[position];
+        if (entry != SLOT_EMPTY) {
+            entries[entry].count++;
+            continue;
+        }
+        slots[position] = (int32_t)size;
+        entries[size].pc = pcs[i];
+        entries[size].value = values[i];
+        entries[size].count = 1;
+        size++;
+    }
+    t->size = size;
+}
+
+/* The count of every (pcs[i], values[i]) into counts[i], 0 if absent. */
+void repro_lookup_pairs(const repro_pair_table *t, const uint64_t *pcs,
+                        const uint64_t *values, int64_t n, int64_t *counts)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t entry = t->slots[pair_position(t, pcs[i], values[i])];
+        counts[i] = entry == SLOT_EMPTY ? 0 : t->entries[entry].count;
+    }
 }

@@ -25,6 +25,12 @@ Every call of :meth:`_CompiledLoop.observe_array_chunk` is one
 ``ctypes`` call over persistent arrays whose addresses are taken once,
 at construction.  ``ctypes`` releases the GIL for the duration of the
 call; nothing in this package relies on that.
+
+The same library counts every ``(pc, value)`` pair of an interval for
+the perfect profiler the hardware profiles are scored against
+(:class:`HashedPairCounts`, a seeded hash table);
+:func:`count_pairs` takes it when it loads, else one NumPy sort
+(:class:`SortedPairCounts`).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import shlex
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,6 +110,12 @@ def _load() -> Tuple[Optional[ctypes.CDLL], str]:
     loaded.repro_observe.argtypes = (ctypes.c_void_p,) * 3 + (
         ctypes.c_int64,)
     loaded.repro_observe.restype = None
+    loaded.repro_count_pairs.argtypes = (ctypes.c_void_p,) * 3 + (
+        ctypes.c_int64,)
+    loaded.repro_count_pairs.restype = None
+    loaded.repro_lookup_pairs.argtypes = (ctypes.c_void_p,) * 3 + (
+        ctypes.c_int64, ctypes.c_void_p)
+    loaded.repro_lookup_pairs.restype = None
     return loaded, ""
 
 
@@ -170,35 +182,174 @@ class NumpyCounterTable(CounterTable):
         return iter(self._counters.tolist())
 
 
-def count_pairs(pieces: Sequence[Tuple[np.ndarray, np.ndarray]]
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted unique ``(pc, value)`` pairs over *pieces*, with counts.
+#: One entry of the pair table, as ``repro_pair`` in ``_kernel.c``.
+_PAIR_ENTRY = np.dtype([("pc", np.uint64), ("value", np.uint64),
+                        ("count", np.int64)])
 
-    Exact counting for the perfect profiler: the pairs of every
-    ``(pcs, values)`` piece of ``uint64`` arrays, sorted ``pc``-major
-    into a ``PAIR_DTYPE`` array, plus each pair's ``int64`` occurrence
-    count.  One ``lexsort`` over the two fields; the counts are the run
-    lengths of the sorted pairs, so no per-event tuple-id array is ever
-    built.
+#: Seed of the pair table's slot hash, drawn once per process, so that
+#: no one can craft pairs that share one probe chain.  Entries are
+#: numbered in first-seen order, so no count, order or candidate
+#: depends on it.
+_PAIR_SEED = (int.from_bytes(os.urandom(8), "little"),
+              int.from_bytes(os.urandom(8), "little"))
+
+
+class _PairTable(ctypes.Structure):
+    """``repro_pair_table`` of ``_kernel.c``, field for field."""
+
+    _fields_ = [("seed", ctypes.c_uint64 * 2), ("slot_mask", ctypes.c_int64),
+                ("size", ctypes.c_int64), ("slots", ctypes.c_void_p),
+                ("entries", ctypes.c_void_p)]
+
+
+def _as_events(events: Sequence[ProfileTuple]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The pcs and the values of *events*, as contiguous ``uint64``
+    arrays."""
+    pairs = np.array(events, dtype=np.uint64).reshape(-1, 2)
+    return (np.ascontiguousarray(pairs[:, 0]),
+            np.ascontiguousarray(pairs[:, 1]))
+
+
+class HashedPairCounts:
+    """Exact counts of the ``(pc, value)`` pairs of an interval's
+    pieces, counted by the compiled loop's pair table.
+
+    ``repro_count_pairs`` adds each piece to an open-addressed table:
+    entries hold every distinct pair and its count in first-seen order,
+    the slots hold entry numbers.  Both are sized here from the pieces'
+    event count -- at most one entry per event, at least two slots per
+    entry -- and live as long as this object.  :meth:`at_least` sorts
+    only the entries at or over a threshold; :meth:`lookup` probes the
+    table.
     """
-    pieces = [(pcs, values) for pcs, values in pieces if len(pcs)]
-    if not pieces:
-        return np.empty(0, dtype=PAIR_DTYPE), np.empty(0, dtype=np.int64)
-    pcs = np.concatenate([pcs for pcs, _ in pieces])
-    values = np.concatenate([values for _, values in pieces])
-    order = np.lexsort((values, pcs))
-    # Rebinding frees each unsorted field once it is gathered.
-    pcs = pcs[order]
-    values = values[order]
-    starts = np.empty(len(pcs), dtype=bool)
-    starts[0] = True
-    np.logical_or(pcs[1:] != pcs[:-1], values[1:] != values[:-1],
-                  out=starts[1:])
-    firsts = np.flatnonzero(starts)
-    unique = np.empty(len(firsts), dtype=PAIR_DTYPE)
-    unique["p"] = pcs[firsts]
-    unique["v"] = values[firsts]
-    return unique, np.diff(firsts, append=len(pcs))
+
+    def __init__(self, pieces: Sequence[Tuple[np.ndarray, np.ndarray]],
+                 seed: Tuple[int, int] = _PAIR_SEED) -> None:
+        loaded = library()
+        if loaded is None:
+            raise ValueError(f"the compiled kernel could not be built "
+                             f"({build_error()}); use SortedPairCounts")
+        for pcs, values in pieces:
+            if len(pcs) != len(values):
+                raise ValueError(f"pcs and values differ in length: "
+                                 f"{len(pcs)} vs {len(values)}")
+        total = sum(len(pcs) for pcs, _ in pieces)
+        if total >= 1 << 31:
+            raise ValueError(f"the pair table numbers entries in int32; "
+                             f"{total} events is too many")
+        #: Entry numbers by slot, -1 where empty.
+        self.slots = np.full(1 << (2 * total - 1).bit_length(), -1,
+                             dtype=np.int32)
+        self._entries = np.empty(total, dtype=_PAIR_ENTRY)
+        self._table = _PairTable(
+            seed=(ctypes.c_uint64 * 2)(*seed),
+            slot_mask=len(self.slots) - 1, size=0,
+            slots=self.slots.ctypes.data,
+            entries=self._entries.ctypes.data)
+        self._address = ctypes.addressof(self._table)
+        self._lookup = loaded.repro_lookup_pairs
+        if 1 < len(pieces) and total < _STAGED_EVENTS * len(pieces):
+            # Small pieces (a service stream's pushes) are joined: one
+            # call over a copy costs less than handing ctypes two
+            # array addresses per piece.
+            pieces = [(np.concatenate([pcs for pcs, _ in pieces]),
+                       np.concatenate([values for _, values in pieces]))]
+        for pcs, values in pieces:
+            if len(pcs):
+                pcs = np.ascontiguousarray(pcs, dtype=np.uint64)
+                values = np.ascontiguousarray(values, dtype=np.uint64)
+                loaded.repro_count_pairs(self._address, pcs.ctypes.data,
+                                         values.ctypes.data, len(pcs))
+        #: Distinct pairs in the pieces.
+        self.distinct = self._table.size
+
+    def at_least(self, threshold: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pcs, values, counts)`` of the pairs counted at least
+        *threshold* times, sorted ``pc``-major."""
+        entries = self._entries[:self.distinct]
+        over = entries[entries["count"] >= threshold]
+        over = over[np.lexsort((over["value"], over["pc"]))]
+        return over["pc"], over["value"], over["count"]
+
+    def lookup(self, events: Sequence[ProfileTuple]) -> List[int]:
+        """The count of each of *events* (0 for a pair not seen)."""
+        pcs, values = _as_events(events)
+        counts = np.empty(len(pcs), dtype=np.int64)
+        self._lookup(self._address, pcs.ctypes.data, values.ctypes.data,
+                     len(pcs), counts.ctypes.data)
+        return counts.tolist()
+
+
+class SortedPairCounts:
+    """:class:`HashedPairCounts` by one NumPy ``lexsort``: the count
+    where the compiled loop cannot be built.
+
+    The pairs of all pieces are sorted ``pc``-major into a
+    ``PAIR_DTYPE`` array, and each unique pair's count is the length of
+    its run, so no per-event tuple-id array is ever built.
+    :meth:`lookup` is a binary search of the sorted pairs.
+    """
+
+    def __init__(self, pieces: Sequence[Tuple[np.ndarray, np.ndarray]]
+                 ) -> None:
+        pieces = [(pcs, values) for pcs, values in pieces if len(pcs)]
+        if not pieces:
+            self._unique = np.empty(0, dtype=PAIR_DTYPE)
+            self._counts = np.empty(0, dtype=np.int64)
+        else:
+            pcs = np.concatenate([pcs for pcs, _ in pieces])
+            values = np.concatenate([values for _, values in pieces])
+            order = np.lexsort((values, pcs))
+            # Rebinding frees each unsorted field once it is gathered.
+            pcs = pcs[order]
+            values = values[order]
+            starts = np.empty(len(pcs), dtype=bool)
+            starts[0] = True
+            np.logical_or(pcs[1:] != pcs[:-1], values[1:] != values[:-1],
+                          out=starts[1:])
+            firsts = np.flatnonzero(starts)
+            self._unique = np.empty(len(firsts), dtype=PAIR_DTYPE)
+            self._unique["p"] = pcs[firsts]
+            self._unique["v"] = values[firsts]
+            self._counts = np.diff(firsts, append=len(pcs))
+        #: Distinct pairs in the pieces.
+        self.distinct = len(self._unique)
+
+    def at_least(self, threshold: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """As :meth:`HashedPairCounts.at_least`."""
+        over = self._counts >= threshold
+        return (self._unique["p"][over], self._unique["v"][over],
+                self._counts[over])
+
+    def lookup(self, events: Sequence[ProfileTuple]) -> List[int]:
+        """As :meth:`HashedPairCounts.lookup`."""
+        keys = np.empty(len(events), dtype=PAIR_DTYPE)
+        keys["p"], keys["v"] = _as_events(events)
+        positions = np.searchsorted(self._unique, keys)
+        counts = np.zeros(len(keys), dtype=np.int64)
+        inside = np.flatnonzero(positions < len(self._unique))
+        found = inside[self._unique[positions[inside]] == keys[inside]]
+        counts[found] = self._counts[positions[found]]
+        return counts.tolist()
+
+
+#: Either count: both give the same ``distinct``,
+#: :meth:`~HashedPairCounts.at_least` and
+#: :meth:`~HashedPairCounts.lookup`.
+PairCounts = Union[HashedPairCounts, SortedPairCounts]
+
+
+def count_pairs(pieces: Sequence[Tuple[np.ndarray, np.ndarray]]
+                ) -> PairCounts:
+    """Exact counts of the ``(pc, value)`` pairs over *pieces* of
+    ``uint64`` arrays: :class:`HashedPairCounts` when the compiled loop
+    loads, else :class:`SortedPairCounts`."""
+    if library() is None:
+        return SortedPairCounts(pieces)
+    return HashedPairCounts(pieces)
 
 
 class CompiledAccumulator:

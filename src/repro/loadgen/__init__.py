@@ -9,7 +9,7 @@ requests/sec, latency percentiles, and failure rates
 ``benchmarks/results/BENCH_service.json``.
 """
 
-from .harness import profile_digest, run_profile, write_report
+from .harness import profile_digest, run_profile
 from .profiles import (HEADLINE_STREAMS, PROFILES, LoadProfile,
                        get_profile, list_profiles)
 
@@ -21,5 +21,4 @@ __all__ = [
     "list_profiles",
     "profile_digest",
     "run_profile",
-    "write_report",
 ]

@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import IntervalSpec, ProfilerConfig
-from ..ioutil import atomic_write_json
 from ..service import ProfileClient, ProfileServer, ServiceError
 from ..service import protocol
 from .profiles import LoadProfile
@@ -351,8 +350,3 @@ def run_profile(profile: LoadProfile, *,
         },
         "digest": profile_digest(snapshots),
     }
-
-
-def write_report(path: str, payload: Dict[str, Any]) -> None:
-    """Atomically write a harness report (``BENCH_service.json``)."""
-    atomic_write_json(path, payload)

@@ -16,10 +16,11 @@ Two execution paths produce identical results (tested):
 * the **chunked path** accepts array-chunk sources (stream generators,
   traces), pre-hashes whole chunks vectorized, drives the profilers'
   ``observe_chunk`` fast loops, and derives ground truth per interval
-  with one pair sort (:func:`~repro.core.kernels.count_pairs`) instead
-  of a per-event dictionary.  This is roughly an order of magnitude
-  faster and makes the paper's million-event intervals practical in
-  pure Python.
+  from an exact pair count (:func:`~repro.core.kernels.count_pairs`: a
+  seeded hash table in the compiled loop, or one NumPy sort without a
+  compiler) instead of a per-event dictionary, sorting only the
+  candidates.  This makes the paper's million-event intervals
+  practical.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..core.base import HardwareProfiler, IntervalProfile
 from ..core.batched import BatchedKernelRunner
 from ..core.config import IntervalSpec, ProfilerConfig
 from ..core.hashing import TupleHashFunction
-from ..core.kernels import PAIR_DTYPE, count_pairs
+from ..core.kernels import PairCounts, count_pairs
 from ..core.multi_hash import MultiHashProfiler, build_profiler
 from ..core.perfect import PerfectProfiler
 from ..core.single_hash import SingleHashProfiler
@@ -499,49 +500,42 @@ def feed_many(items: Sequence[Tuple["SessionFeeder",
 
 
 class _IntervalTruth:
-    """Ground truth for one interval, backed by sorted unique arrays.
+    """Ground truth for one interval, over its exact pair counts.
 
-    ``candidates`` maps every above-threshold tuple to its exact count;
-    :meth:`counts_for` extends that with the true (sub-threshold)
-    counts of whatever tuples a hardware profile reported, which is all
-    the error metric ever looks up.
+    ``candidates`` maps every above-threshold tuple to its exact count,
+    ``pc``-major; :meth:`counts_for` extends that with the true
+    (sub-threshold) counts of whatever tuples a hardware profile
+    reported, which is all the error metric ever looks up.
     """
 
-    def __init__(self, unique: np.ndarray, counts: np.ndarray,
-                 threshold: int) -> None:
-        self._unique = unique
+    def __init__(self, counts: PairCounts, threshold: int) -> None:
         self._counts = counts
-        over = counts >= threshold
+        pcs, values, over = counts.at_least(threshold)
         self.candidates: Dict[ProfileTuple, int] = dict(zip(
-            zip(unique["p"][over].tolist(), unique["v"][over].tolist()),
-            counts[over].tolist()))
+            zip(pcs.tolist(), values.tolist()), over.tolist()))
 
     def lookup(self, event: ProfileTuple) -> int:
         """Exact count of *event* in the interval (0 if absent)."""
-        key = np.zeros((), dtype=PAIR_DTYPE)
-        key["p"], key["v"] = event
-        position = int(np.searchsorted(self._unique, key))
-        if (position < len(self._unique)
-                and self._unique[position] == key):
-            return int(self._counts[position])
-        return 0
+        return self._counts.lookup([event])[0]
 
     def counts_for(self, profile: IntervalProfile
                    ) -> Dict[ProfileTuple, int]:
         """True counts covering the error metric's candidate universe."""
         true_counts = dict(self.candidates)
-        for event in profile.candidates:
-            if event not in true_counts:
-                true_counts[event] = self.lookup(event)
+        missing = [event for event in profile.candidates
+                   if event not in true_counts]
+        if missing:
+            true_counts.update(zip(missing, self._counts.lookup(missing)))
         return true_counts
 
 
 def _interval_truth(pieces: List[Tuple[np.ndarray, np.ndarray]],
                     threshold: int) -> Tuple[_IntervalTruth, int]:
-    """Exact per-interval counting via one pair sort
+    """Exact per-interval counting: the compiled pair table, or one
+    NumPy sort without a compiler
     (:func:`~repro.core.kernels.count_pairs`)."""
-    unique, counts = count_pairs(pieces)
-    return _IntervalTruth(unique, counts, threshold), len(unique)
+    counts = count_pairs(pieces)
+    return _IntervalTruth(counts, threshold), counts.distinct
 
 
 def profile_stream(config: ProfilerConfig,

@@ -206,6 +206,14 @@ class TestBench:
             for row in rows.values():
                 assert row["events_per_second"] > 0
         assert set(report["speedups"]) == set(report["chunked_speedups"])
+        assert [row["point"] for row in report["truth"]] == ["long",
+                                                             "short"]
+        for row in report["truth"]:
+            assert set(row["rows"]) == {"numpy", "compiled"}
+            assert all(path["ms_per_interval"] > 0
+                       for path in row["rows"].values())
+            assert 0 < row["candidates_per_interval"] < row[
+                "distinct_per_interval"]
         assert report["sessions"]
         for session in report["sessions"]:
             assert set(session["rows"]) == {"scalar-chunked", "vectorized"}

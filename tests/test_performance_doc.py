@@ -1,6 +1,6 @@
 """``docs/PERFORMANCE.md`` quotes the checked-in benchmarks.
 
-The *Measured throughput* table must repeat
+The *Measured throughput* and *Ground truth* tables must repeat
 ``benchmarks/results/BENCH_kernels.json`` row for row, and the
 *Measured service throughput* table
 ``benchmarks/results/BENCH_service.json``, at the tables' rounding, so
@@ -65,6 +65,28 @@ def test_table_names_the_artifacts_stream():
         "## Measured throughput", 1)[1]
     assert (f"{report['benchmark']}-calibrated stream, "
             f"seed {report['seed']}") in section
+
+
+def truth_rows() -> List[List[str]]:
+    """The ground-truth table's rows formatted from the artifact."""
+    report = json.loads(ARTIFACT.read_text(encoding="utf-8"))
+    rows = []
+    for row in report["truth"]:
+        length = row["interval_length"]
+        rows.append([
+            f"{row['point']} ({row['intervals']}×{length // 1000}K @ "
+            f"{row['threshold'] * 100:g}%)",
+            f"{row['distinct_per_interval']:,.0f}",
+            f"{row['candidates_per_interval']:,.0f}",
+            f"{row['rows']['numpy']['ms_per_interval']:.2f} ms",
+            f"{row['rows']['compiled']['ms_per_interval']:.2f} ms",
+            f"{row['speedup']:.1f}×",
+        ])
+    return rows
+
+
+def test_ground_truth_table_quotes_the_artifact():
+    assert table_rows("## Ground truth") == truth_rows()
 
 
 def service_rows() -> List[List[str]]:
