@@ -567,11 +567,12 @@ def _bench_truth(pcs, values, spec, repeats, time_module):
 #: Multi-session operating point: concurrent sessions advance in
 #: lockstep ticks of a small per-session chunk -- the latency-bound
 #: streaming regime of the profile service, where the fixed cost of
-#: each call counts.
+#: each call counts.  Every row serves the same total of events, split
+#: evenly over its sessions, so that the rows time equal work.
 _BENCH_SESSION_COUNTS = [1, 8, 64]
 _BENCH_QUICK_SESSION_COUNTS = [1, 8]
-_BENCH_SESSION_INTERVALS = 2
-_BENCH_QUICK_SESSION_INTERVALS = 1
+_BENCH_SESSION_EVENTS = 64 * 20_000
+_BENCH_QUICK_SESSION_EVENTS = 8 * 2_000
 _BENCH_SESSION_SPEC = (10_000, 0.01)
 _BENCH_QUICK_SESSION_SPEC = (2_000, 0.01)
 _BENCH_SESSION_TICK = 100
@@ -647,7 +648,7 @@ def _run_bench(args: argparse.Namespace) -> int:
     the interval truth step at the same operating points, on the NumPy
     sort and on the compiled pair table.  A third serves 1, 8 and 64
     concurrent sessions in 100-event ticks, where each call's fixed
-    cost counts.
+    cost counts; every row serves the same total of events.
     """
     import json
     import os
@@ -725,21 +726,20 @@ def _run_bench(args: argparse.Namespace) -> int:
                       else _BENCH_SESSION_COUNTS)
     session_spec = IntervalSpec(*(_BENCH_QUICK_SESSION_SPEC if args.quick
                                   else _BENCH_SESSION_SPEC))
-    session_intervals = (_BENCH_QUICK_SESSION_INTERVALS if args.quick
-                         else _BENCH_SESSION_INTERVALS)
-    per_session = session_spec.length * session_intervals
+    total_events = (_BENCH_QUICK_SESSION_EVENTS if args.quick
+                    else _BENCH_SESSION_EVENTS)
     sessions_out = []
     session_speedups = {}
     for figure, factory in (("fig07", best_single_hash),
                             ("fig12", best_multi_hash)):
         config = factory(session_spec)
         for count in session_counts:
+            per_session = total_events // count
             streams = [
                 benchmark_generator(args.benchmark,
                                     seed=args.seed + position
                                     ).chunk(per_session)
                 for position in range(count)]
-            total_events = count * per_session
             rows = {}
             for backend in ("scalar-chunked", "vectorized"):
                 repeats = (1 if backend == "scalar-chunked"

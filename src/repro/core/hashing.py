@@ -38,9 +38,6 @@ from .tuples import FIELD_BITS, ProfileTuple
 #: Bytes per hashed field (64-bit fields).
 _FIELD_BYTES = FIELD_BITS // 8
 
-#: 16-bit chunks per hashed field, each with one folded lookup table.
-_FOLD_CHUNKS = _FIELD_BYTES // 2
-
 #: Size of each random substitution table -- one entry per byte value.
 RANDOM_TABLE_ENTRIES = 256
 
@@ -129,25 +126,22 @@ class TupleHashFunction:
         Inputs must be ``uint64`` arrays of equal shape; the result is an
         ``int64`` array of table indices.
 
-        The whole ``xor_fold(flip(rand(pc)) ^ rand(value))`` pipeline is
-        XOR-linear in the per-byte substitutions, so it precomputes into
-        one folded lookup table per 16-bit input chunk (zero-normalized:
-        entry 0 is 0, with the all-zero-bytes contribution hoisted into a
-        constant).  A chunk above the data's actual width then costs
-        nothing, which collapses the usual case -- PCs and values far
-        narrower than 64 bits -- to a couple of gathers and XORs.
+        Gathers one row of :meth:`fold_tables` per byte position a
+        field uses: a byte above the data's actual width would read
+        entry 0, which is 0, so it is skipped.
         """
         folds, base = self.fold_tables()
         out = None
-        mask = np.uint64(0xFFFF)
-        for first, field in ((0, pcs), (_FOLD_CHUNKS, values)):
+        mask = np.uint64(0xFF)
+        for first, field in ((0, pcs), (_FIELD_BYTES, values)):
             top = int(field.max()) if field.size else 0
-            for chunk in range(_FOLD_CHUNKS):
-                if chunk and not top >> (16 * chunk):
+            for position in range(_FIELD_BYTES):
+                if position and not top >> (8 * position):
                     break
-                piece = (field if chunk == 0 and top < 0x10000
-                         else (field >> np.uint64(16 * chunk)) & mask)
-                gathered = folds[first + chunk].take(piece.astype(np.intp))
+                piece = (field if top <= 0xFF
+                         else (field >> np.uint64(8 * position)) & mask)
+                gathered = folds[first + position].take(
+                    piece.astype(np.intp))
                 if out is None:
                     out = gathered
                 else:
@@ -157,44 +151,46 @@ class TupleHashFunction:
         return out.astype(np.int64)
 
     def fold_tables(self) -> Tuple[np.ndarray, int]:
-        """The folded chunk tables and their constant, built on first use.
+        """The folded per-byte tables and their constant, built on
+        first use.
 
-        Row ``c`` of the ``(8, 65536)`` ``int32`` array folds the PC's
-        ``c``-th 16-bit chunk (low chunk first) and row ``4 + c`` the
-        value's; a field's index contribution is the XOR of its chunks'
-        rows, and the index is that of both fields XOR the constant.
-        The compiled per-event loop (:mod:`repro.core.kernels`) hashes
-        from the same tables.
+        ``xor_fold(flip(rand(pc)) ^ rand(value))`` is XOR-linear in the
+        per-byte substitutions, so each byte position folds into a table
+        of its own.  Row ``b`` of the ``(16, 256)`` ``int32`` array folds
+        the PC's ``b``-th byte (low byte first) and row ``8 + b`` the
+        value's; a row's entry 0 is 0, the all-zero-bytes contribution
+        of every row being hoisted into the constant.  The index is the
+        XOR of one entry per row and the constant -- 16 KiB per function,
+        the eight parallel 256x8 ROMs per field of the hardware.  The
+        compiled per-event loop (:mod:`repro.core.kernels`) hashes from
+        the same tables.
         """
         if self._folds is None:
             self._build_fold_tables()
         return self._folds, self._fold_base
 
     def _build_fold_tables(self) -> None:
-        """Precompute the zero-normalized folded 16-bit chunk tables."""
-        per_byte_pc = []
-        per_byte_value = []
+        """Precompute the zero-normalized per-byte fold tables."""
+        shifted = np.empty((2 * _FIELD_BYTES, RANDOM_TABLE_ENTRIES),
+                           dtype=np.uint64)
         for position in range(_FIELD_BYTES):
             flipped = _FIELD_BYTES - 1 - position
-            per_byte_pc.append(np.array(
-                [xor_fold(entry << (8 * flipped), self.index_bits)
-                 for entry in self._pc_tables[position]], dtype=np.int32))
-            per_byte_value.append(np.array(
-                [xor_fold(entry << (8 * position), self.index_bits)
-                 for entry in self._value_tables[position]], dtype=np.int32))
-        base = 0
-        folds = np.empty((2 * _FOLD_CHUNKS, 1 << 16), dtype=np.int32)
-        for first, per_byte in ((0, per_byte_pc),
-                                (_FOLD_CHUNKS, per_byte_value)):
-            for chunk in range(_FOLD_CHUNKS):
-                low = per_byte[2 * chunk]
-                high = per_byte[2 * chunk + 1]
-                table = low[np.newaxis, :] ^ high[:, np.newaxis]
-                zero = int(table[0, 0])
-                base ^= zero
-                folds[first + chunk] = (table ^ zero).reshape(-1)
+            shifted[position] = np.array(
+                self._pc_tables[position], dtype=np.uint64) << np.uint64(
+                    8 * flipped)
+            shifted[_FIELD_BYTES + position] = np.array(
+                self._value_tables[position], dtype=np.uint64) << np.uint64(
+                    8 * position)
+        # xor_fold, on every entry at once.
+        folded = np.zeros_like(shifted)
+        mask = np.uint64(self.table_size - 1)
+        for shift in range(0, FIELD_BITS, self.index_bits):
+            folded ^= (shifted >> np.uint64(shift)) & mask
+        folds = folded.astype(np.int32)
+        zeros = folds[:, 0].copy()
+        folds ^= zeros[:, np.newaxis]
         self._folds = folds
-        self._fold_base = base
+        self._fold_base = int(np.bitwise_xor.reduce(zeros))
 
 
 def _draw_tables(rng: random.Random) -> List[List[int]]:
@@ -222,7 +218,7 @@ class HashFunctionFamily:
     ``family[i]`` is the i-th function; the family grows lazily, so a
     multi-hash profiler with ``n`` tables simply takes ``family.take(n)``.
     Two families with the same width and seed return the very same
-    function objects (and so share their 2 MiB of fold tables), which
+    function objects (and so share their fold tables), which
     makes profiler runs reproducible and bounds a process's tables by
     its distinct configurations, not its profilers.
     """

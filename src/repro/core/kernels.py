@@ -3,12 +3,13 @@
 The scalar profilers (:mod:`repro.core.single_hash`,
 :mod:`repro.core.multi_hash`) are the spec: one Python ``observe()``
 per event.  ``_kernel.c`` is that same loop in C -- a shielded
-accumulator lookup, the hash of every table from its folded 16-bit
-chunk tables, the counter update, the promotion test and at most one
-accumulator insert per event -- so the two profilers here are
-**bit-identical** to the spec: same candidates in the same order, same
-counts, same :class:`~repro.core.base.ProfilerStats`, checked by the
-differential parity harness (``tests/test_kernel_parity.py``).
+accumulator lookup, the hash of every table from its per-byte fold
+tables (16 KiB per hash function), the counter update, the promotion
+test and at most one accumulator insert per event -- so the two
+profilers here are **bit-identical** to the spec: same candidates in
+the same order, same counts, same
+:class:`~repro.core.base.ProfilerStats`, checked by the differential
+parity harness (``tests/test_kernel_parity.py``).
 
 :func:`library` compiles the source once with the system C compiler
 (``$CC``, default ``cc``, flags ``-O2 -shared -fPIC``) into
@@ -186,10 +187,12 @@ class NumpyCounterTable(CounterTable):
 _PAIR_ENTRY = np.dtype([("pc", np.uint64), ("value", np.uint64),
                         ("count", np.int64)])
 
-#: Seed of the pair table's slot hash, drawn once per process, so that
-#: no one can craft pairs that share one probe chain.  Entries are
-#: numbered in first-seen order, so no count, order or candidate
-#: depends on it.
+#: Seed of the slot hash of the pair table and of the accumulator's
+#: index, drawn once per process, so that no one can craft pairs that
+#: share one probe chain.  Pair entries are numbered in first-seen
+#: order, accumulator entries are reported in stamp order and victims
+#: chosen by count and stamp, so no count, order or candidate depends
+#: on it.
 _PAIR_SEED = (int.from_bytes(os.urandom(8), "little"),
               int.from_bytes(os.urandom(8), "little"))
 
@@ -358,7 +361,8 @@ class CompiledAccumulator:
     Entries ``0 .. len - 1`` of the parallel arrays are resident, each
     with a pc, value, count, allocation stamp and state (pinned or
     replaceable); the loop finds them through the open-addressed index
-    :attr:`slots` and applies :class:`~repro.core.tables.
+    :attr:`slots`, placed by the pair table's seeded slot hash, and
+    applies :class:`~repro.core.tables.
     AccumulatorTable`'s insert, victim and hit rules itself.  This
     class keeps that table's read API.  Entries are reported in stamp
     order, which is the scalar table's dict (insertion) order: the
@@ -436,13 +440,15 @@ class CompiledAccumulator:
 class _State(ctypes.Structure):
     """``repro_state`` of ``_kernel.c``, field for field."""
 
-    _fields_ = ([(name, ctypes.c_int64) for name in (
-        "num_tables", "threshold", "max_value", "capacity", "slot_mask",
-        "single", "conservative", "shielding", "resetting")]
-        + [(name, ctypes.c_void_p) for name in (
-            "counts", "counters", "folds", "fold_base", "work",
-            "entry_pc", "entry_value", "entry_count", "entry_stamp",
-            "entry_state", "slots")])
+    _fields_ = ([("seed", ctypes.c_uint64 * 2)]
+                + [(name, ctypes.c_int64) for name in (
+                    "num_tables", "threshold", "max_value", "capacity",
+                    "slot_mask", "single", "conservative", "shielding",
+                    "resetting")]
+                + [(name, ctypes.c_void_p) for name in (
+                    "counts", "counters", "folds", "fold_base", "work",
+                    "entry_pc", "entry_value", "entry_count",
+                    "entry_stamp", "entry_state", "slots")])
 
 
 def _pointers(arrays) -> ctypes.Array:
@@ -476,6 +482,7 @@ class _CompiledLoop:
                                             for table in tables])
         self._fold_pointers = _pointers([table for table, _ in folds])
         self._state = _State(
+            seed=(ctypes.c_uint64 * 2)(*_PAIR_SEED),
             num_tables=len(tables),
             threshold=self.interval.threshold_count,
             max_value=tables[0].max_value,

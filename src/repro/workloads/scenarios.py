@@ -10,7 +10,7 @@ under direct control: a YAML config names a base tuple population
 injection knobs that actively try to break the profiler:
 
 * **aliasing** -- a cluster of distinct tuples engineered to collide in
-  the fused fold-table hash (:mod:`repro.core.hashing`), each
+  the paper's hash (:mod:`repro.core.hashing`), each
   individually sub-threshold but collectively pounding one counter.
   This is the worst case for the single-hash architecture; the
   multi-hash tables use independent functions, so the cluster scatters
@@ -492,7 +492,8 @@ def alias_cluster(spec: AliasingSpec) -> Tuple[np.ndarray, np.ndarray]:
     fixed sequence (four alias PCs, splitmix64 values) and kept when
     the target hash function maps them to the index of candidate 0.
     Expected scan length is ``cluster * 2**index_bits`` candidates;
-    the fused fold tables make each batch a few array gathers.
+    each batch is hashed by ``TupleHashFunction.index_array``, one
+    gather per byte position the fields use.
     """
     function = HashFunctionFamily(spec.index_bits,
                                   spec.hash_seed)[spec.ordinal]

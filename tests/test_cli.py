@@ -217,6 +217,11 @@ class TestBench:
         assert report["sessions"]
         for session in report["sessions"]:
             assert set(session["rows"]) == {"scalar-chunked", "vectorized"}
+            assert session["events"] == (session["sessions"]
+                                         * session["events_per_session"])
+        # Every session row times the same work, whatever its sessions.
+        assert len({session["events"]
+                    for session in report["sessions"]}) == 1
         # Even at smoke scale the kernels clear the per-event reference
         # by a wide margin.
         assert all(value > 2.0 for value in report["speedups"].values())

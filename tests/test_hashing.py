@@ -102,6 +102,26 @@ class TestTupleHashFunction:
         vectorized = function.index_array(pcs, values).tolist()
         assert vectorized == [function(e) for e in events]
 
+    @pytest.mark.parametrize("bits", [1, 11, 30])
+    def test_fold_tables_hold_one_row_per_byte(self, bits):
+        """``(16, 256)`` ``int32``: row ``b`` folds the pc's byte ``b``
+        and row ``8 + b`` the value's, low byte first, entry 0 of every
+        row is 0, and a function's tables take at most 16 KiB."""
+        function = TupleHashFunction(bits, seed=4)
+        folds, base = function.fold_tables()
+        assert folds.shape == (16, 256) and folds.dtype == np.int32
+        assert folds.nbytes <= 16 * 1024
+        assert not folds[:, 0].any()
+        assert 0 <= folds.min() and folds.max() < 1 << bits
+        assert function((0, 0)) == base
+        for position in range(8):
+            for byte in (0x01, 0x80, 0xFF):
+                shifted = byte << 8 * position
+                assert function((shifted, 0)) == \
+                    base ^ folds[position, byte]
+                assert function((0, shifted)) == \
+                    base ^ folds[8 + position, byte]
+
 
 class TestHashFunctionFamily:
     def test_members_are_pairwise_independent_ish(self):

@@ -26,6 +26,8 @@ from repro.core.multi_hash import MultiHashProfiler, build_profiler
 from repro.core.single_hash import SingleHashProfiler
 from repro.profiling.session import ProfilingSession
 from repro.workloads.benchmarks import benchmark_generator
+from test_ground_truth import (OTHER_SEED, SEED, occupied_runs,
+                               slot_sharing_pairs)
 
 SPEC = IntervalSpec(length=200, threshold=0.05)  # threshold_count 10
 
@@ -63,7 +65,8 @@ COUNTER_BITS = st.sampled_from([1, 2, 3, 4, 24])
 
 def spread(events, wide):
     """*events* with both fields mapped one-to-one onto 64-bit values,
-    so every 16-bit fold chunk of the hash is read, when *wide*."""
+    so every byte of both fields, and so every row of the fold tables,
+    is read, when *wide*."""
     if not wide:
         return events
     mask = (1 << 64) - 1
@@ -240,6 +243,81 @@ def test_session_error_summaries_match(compiled_kernel, num_tables,
            vector_result.summary.breakdown_percent()
     assert scalar_result.profiler.stats.as_dict() == \
            vector_result.profiler.stats.as_dict()
+
+
+#: Events with one byte set, to 0x01, 0x80 or 0xFF, at every byte
+#: position of the pc and of the value.
+ONE_BYTE_EVENTS = [event for position in range(8)
+                   for byte in (0x01, 0x80, 0xFF)
+                   for event in ((byte << 8 * position, 0),
+                                 (0, byte << 8 * position))]
+
+
+def test_each_fold_row_hashes_as_the_spec(compiled_kernel):
+    """One event with one byte set reads one row of the fold tables
+    apart from entry 0 of the others: the only counter the compiled
+    loop bumps is the one at ``TupleHashFunction.__call__``'s index,
+    for a single-hash profiler and for every table of a multi-hash
+    one."""
+    spec = IntervalSpec(length=1_000, threshold=0.01)
+    single = ProfilerConfig(interval=spec, total_entries=1 << 12,
+                            num_tables=1)
+    multi = ProfilerConfig(interval=spec, total_entries=1 << 12,
+                           num_tables=4, conservative_update=True)
+    for event in ONE_BYTE_EVENTS:
+        sh = VectorizedSingleHashProfiler(single)
+        mh = VectorizedMultiHashProfiler(multi)
+        sh.observe(event)
+        mh.observe(event)
+        pairs = ([(sh.hash_function, sh.table)]
+                 + list(zip(mh.hash_functions, mh.tables)))
+        for function, table in pairs:
+            assert np.flatnonzero(table.array).tolist() == \
+                [function(event)], (hex(event[0]), hex(event[1]))
+            assert table.array[function(event)] == 1
+
+
+@pytest.mark.parametrize("num_tables,conservative", [(1, False),
+                                                     (4, True)])
+def test_accumulator_chain_crafted_for_a_known_seed(compiled_kernel,
+                                                    monkeypatch,
+                                                    num_tables,
+                                                    conservative):
+    """Pairs crafted to share one accumulator probe chain under a known
+    seed -- all start in the index's last slot -- give the scalar
+    profile over two intervals (the second one rebuilds the index
+    around the retained entries), and scatter under another seed."""
+    number = 150
+    spec = IntervalSpec(length=1_000, threshold=0.002)  # threshold 2
+    config = ProfilerConfig(interval=spec, total_entries=1 << 16,
+                            num_tables=num_tables,
+                            conservative_update=conservative)
+    crafted = slot_sharing_pairs(number, SEED)
+    rng = np.random.default_rng(5)
+    events = []
+    for _ in range(2):
+        interval = crafted * 3 + [(0x9000 + i, i) for i in range(
+            spec.length - 3 * number)]
+        rng.shuffle(interval)
+        events += interval
+    scalar, scalar_profiles = run_scalar(config, events)
+    pcs = np.array([pc for pc, _ in events], dtype=np.uint64)
+    values = np.array([value for _, value in events], dtype=np.uint64)
+    runs = {}
+    for seed in (SEED, OTHER_SEED):
+        # A profiler takes the process's seed when it is built.
+        monkeypatch.setattr(kernels, "_PAIR_SEED", seed)
+        vector = vectorized_class(config)(config)
+        vector.observe_array_chunk(pcs[:spec.length], values[:spec.length])
+        runs[seed] = max(occupied_runs(vector.accumulator.slots))
+        profiles = [vector.end_interval()]
+        vector.observe_array_chunk(pcs[spec.length:], values[spec.length:])
+        profiles.append(vector.end_interval())
+        assert [list(p.candidates.items()) for p in profiles] == \
+            [list(p.candidates.items()) for p in scalar_profiles]
+        assert vector.stats.as_dict() == scalar.stats.as_dict()
+    assert runs[SEED] >= number
+    assert runs[OTHER_SEED] < number // 10
 
 
 def test_build_profiler_backend_dispatch(compiled_kernel, monkeypatch):
