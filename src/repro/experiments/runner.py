@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 
 from ..core.config import LONG_INTERVAL
 from ..ioutil import atomic_write_json
+from ..workloads.benchmarks import clear_model_memo
 from .base import EXPERIMENTS, ExperimentScale
 from .fabric import ExperimentFabric, activate, default_jobs
 
@@ -177,14 +178,18 @@ def run_bench(args: argparse.Namespace) -> int:
     }
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
+        # Each leg starts from an empty model memo: no leg, nor the pool
+        # workers it forks, inherits the solves of the legs before it.
         print(f"[bench] serial leg: {len(names)} experiments, "
               f"no fabric", flush=True)
+        clear_model_memo()
         started = time.perf_counter()
         serial_times = run_experiments(names, scale, None, quiet=True)
         serial_seconds = time.perf_counter() - started
 
         print(f"[bench] parallel cold leg: --jobs {jobs}, fresh cache",
               flush=True)
+        clear_model_memo()
         started = time.perf_counter()
         with ExperimentFabric(jobs=jobs, cache_dir=cache_dir) as fabric:
             cold_times = run_experiments(names, scale, fabric,
@@ -194,6 +199,7 @@ def run_bench(args: argparse.Namespace) -> int:
 
         print(f"[bench] parallel warm leg: --jobs {jobs}, reused cache",
               flush=True)
+        clear_model_memo()
         started = time.perf_counter()
         with ExperimentFabric(jobs=jobs, cache_dir=cache_dir) as fabric:
             warm_times = run_experiments(names, scale, fabric,

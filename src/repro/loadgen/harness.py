@@ -32,7 +32,6 @@ import json
 import socket
 import threading
 import time
-from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,18 +69,6 @@ def _latency_summary(samples: List[float]) -> Dict[str, float]:
     }
 
 
-@lru_cache(maxsize=8)
-def _calibrated_model(benchmark: str):
-    # benchmark_model re-runs its calibration solve on every call
-    # (~1s); hundreds of tenants sharing one benchmark would pay it
-    # hundreds of times.  The model is immutable -- per-tenant
-    # generators built from one shared instance produce exactly the
-    # streams per-tenant benchmark_generator() calls would.
-    from ..workloads.benchmarks import benchmark_model
-
-    return benchmark_model(benchmark)
-
-
 def _tenant_source(profile: LoadProfile, index: int):
     """Build tenant *index*'s traffic source (anything with chunk())."""
     seed = profile.seed + index
@@ -89,10 +76,9 @@ def _tenant_source(profile: LoadProfile, index: int):
         from ..workloads.scenarios import ScenarioStream, load_scenario
 
         return ScenarioStream(load_scenario(profile.scenario, seed=seed))
-    from ..workloads.generators import TupleStreamGenerator
+    from ..workloads.benchmarks import benchmark_generator
 
-    return TupleStreamGenerator(_calibrated_model(profile.benchmark),
-                                seed=seed)
+    return benchmark_generator(profile.benchmark, seed=seed)
 
 
 def profile_digest(snapshots: Dict[str, Dict[str, Any]]) -> str:

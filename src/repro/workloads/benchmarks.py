@@ -23,6 +23,7 @@ distinct count and nearly eliminate fresh tuples.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional
 
 from ..core.config import IntervalSpec
@@ -166,10 +167,21 @@ def benchmark_targets(name: str,
                          f"{', '.join(BENCHMARK_NAMES)}") from None
 
 
+@lru_cache(maxsize=None)
+def _solved_model(name: str, kind: EventKind) -> StreamModel:
+    return build_model(benchmark_targets(name, kind), kind=kind)
+
+
 def benchmark_model(name: str,
                     kind: EventKind = EventKind.VALUE) -> StreamModel:
-    """The calibrated stream model for one benchmark."""
-    return build_model(benchmark_targets(name, kind), kind=kind)
+    """The calibrated stream model for one benchmark, solved once per
+    process and ``(name, kind)``: it is immutable, so callers share it."""
+    return _solved_model(name, kind)
+
+
+def clear_model_memo() -> None:
+    """Forget every solved model: the next call of each solves again."""
+    _solved_model.cache_clear()
 
 
 def benchmark_generator(name: str, kind: EventKind = EventKind.VALUE,

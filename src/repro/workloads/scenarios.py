@@ -50,6 +50,7 @@ import numpy as np
 
 from ..core.hashing import HashFunctionFamily
 from ..core.tuples import EventKind
+from .benchmarks import benchmark_model
 from .generators import HotBand, StreamModel, TupleStreamGenerator, _mix64
 
 #: PC-space bases for the injected populations, disjoint from the
@@ -450,20 +451,11 @@ def load_scenario(ref: str,
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _benchmark_base_model(name: str, kind: EventKind) -> StreamModel:
-    # benchmark_model re-runs its calibration solve on every call;
-    # config validation would otherwise pay ~1s per construction.
-    from .benchmarks import benchmark_model
-
-    return benchmark_model(name, kind)
-
-
 def build_stream_model(spec: StreamSpec, kind: EventKind, name: str,
                        seed: int = 0) -> StreamModel:
     """The base :class:`StreamModel` a scenario generates from."""
     if spec.benchmark is not None:
-        model = _benchmark_base_model(spec.benchmark, kind)
+        model = benchmark_model(spec.benchmark, kind)
         overrides: Dict[str, Any] = {"name": name, "seed": seed}
         if spec.phase_drift is not None:
             overrides["phase_drift"] = spec.phase_drift

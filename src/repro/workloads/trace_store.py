@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.tuples import EventKind
-from .benchmarks import benchmark_generator, benchmark_model
+from .benchmarks import benchmark_generator, benchmark_targets
 from .traces import Trace
 
 #: Environment variable naming the cache root (traces live in a
@@ -122,10 +122,10 @@ class TraceStore:
 
     def resolve_seed(self, benchmark: str, kind: EventKind,
                      seed: Optional[int]) -> int:
-        """The effective generator seed (models carry a default)."""
+        """The effective generator seed (targets carry a default)."""
         if seed is not None:
             return seed
-        return benchmark_model(benchmark, kind).seed
+        return benchmark_targets(benchmark, kind).seed
 
     def stored_intervals(self, key: TraceKey) -> int:
         """Whole intervals available in the stored trace (0 if absent)."""

@@ -4,12 +4,15 @@ import pytest
 
 from repro.core.config import SHORT_INTERVAL
 from repro.core.tuples import EventKind
+from repro.workloads import benchmarks
 from repro.workloads.benchmarks import (BENCHMARK_NAMES, EDGE_TARGETS,
                                         VALUE_TARGETS, all_models,
                                         benchmark_generator,
                                         benchmark_model, benchmark_stream,
-                                        benchmark_targets)
-from repro.workloads.solver import expected_distinct
+                                        benchmark_targets,
+                                        clear_model_memo)
+from repro.workloads.solver import build_model, expected_distinct
+from repro.workloads.trace_store import TraceStore
 
 
 class TestRegistry:
@@ -92,3 +95,48 @@ class TestPaperCharacterization:
         for name in ("m88ksim", "vortex"):
             assert benchmark_targets(name).burstiness >= 0.5
             assert benchmark_targets(name).phase_length >= 5_000_000
+
+
+class TestSolvedOnce:
+    """The calibration solve runs once per ``(name, kind)`` and process."""
+
+    def test_resolve_seed_reads_the_targets_without_solving(
+            self, tmp_path, monkeypatch):
+        pairs = [(name, kind) for name in BENCHMARK_NAMES
+                 for kind in (EventKind.VALUE, EventKind.EDGE)]
+        seeds = {pair: benchmark_model(*pair).seed for pair in pairs}
+
+        def no_solve(targets, kind=EventKind.VALUE):
+            raise AssertionError(f"solved {targets.name} to read its seed")
+
+        clear_model_memo()
+        monkeypatch.setattr(benchmarks, "build_model", no_solve)
+        store = TraceStore(str(tmp_path))
+        assert {pair: store.resolve_seed(*pair, None)
+                for pair in pairs} == seeds
+        assert store.resolve_seed("gcc", EventKind.VALUE, 7) == 7
+
+    def test_default_and_explicit_kind_share_one_model(self):
+        model = benchmark_model("gcc")
+        assert benchmark_model("gcc", EventKind.VALUE) is model
+        assert benchmark_model("gcc", kind=EventKind.VALUE) is model
+        assert benchmark_model(name="gcc") is model
+        assert benchmark_model("gcc", EventKind.EDGE) is not model
+
+    def test_second_call_runs_no_solve(self, monkeypatch):
+        solved = []
+
+        def counting_build_model(targets, kind=EventKind.VALUE):
+            solved.append((targets.name, kind))
+            return build_model(targets, kind=kind)
+
+        clear_model_memo()
+        monkeypatch.setattr(benchmarks, "build_model", counting_build_model)
+        benchmark_model("li")
+        benchmark_model("li", EventKind.VALUE)
+        benchmark_model("li", kind=EventKind.VALUE)
+        benchmark_generator("li").chunk(100)
+        assert solved == [("li", EventKind.VALUE)]
+        benchmark_model("li", EventKind.EDGE)
+        benchmark_model("li", EventKind.EDGE)
+        assert solved == [("li", EventKind.VALUE), ("li", EventKind.EDGE)]

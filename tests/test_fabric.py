@@ -17,7 +17,8 @@ from repro.core.config import BACKEND_ENV, best_single_hash
 from repro.core.tuples import EventKind
 from repro.experiments import runner
 from repro.experiments.base import EXPERIMENTS, ExperimentScale
-from repro.experiments.fabric import ExperimentFabric, SweepCell, activate
+from repro.experiments.fabric import (MIN_POOL_CELLS, ExperimentFabric,
+                                      SweepCell, activate)
 from repro.experiments.runner import (build_parser, resolve_names,
                                       scale_from_args)
 
@@ -46,6 +47,23 @@ def test_parallel_run_is_bit_identical_to_serial(name, shared_cache,
     with ExperimentFabric(jobs=4, cache_dir=shared_cache) as fabric:
         with activate(fabric):
             parallel = EXPERIMENTS[name](TINY).render()
+    assert parallel == serial
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) <= 1,
+                    reason="the fabric runs cells in-process on one core")
+def test_pool_runs_sweep_cells_bit_identical_to_serial(tmp_path):
+    """TINY's two benchmarks leave every sweep under MIN_POOL_CELLS;
+    with three, fig07's sweeps run their cells in worker processes."""
+    scale = replace(TINY, benchmarks=("li", "gcc", "go"))
+    assert len(scale.benchmarks) >= MIN_POOL_CELLS
+    serial = EXPERIMENTS["fig07"](scale).render()
+    with ExperimentFabric(jobs=2, cache_dir=str(tmp_path)) as fabric:
+        with activate(fabric):
+            parallel = EXPERIMENTS["fig07"](scale).render()
+        assert fabric._executor is not None  # the pool started
+        assert fabric.stats.mapped_cells == 0
+        assert fabric.stats.executed == fabric.stats.sweep_cells > 0
     assert parallel == serial
 
 

@@ -1,10 +1,11 @@
 """``docs/PERFORMANCE.md`` quotes the checked-in benchmarks.
 
 The *Measured throughput* and *Ground truth* tables must repeat
-``benchmarks/results/BENCH_kernels.json`` row for row, and the
-*Measured service throughput* table
-``benchmarks/results/BENCH_service.json``, at the tables' rounding, so
-the doc cannot drift from the artifacts it cites.
+``benchmarks/results/BENCH_kernels.json`` row for row, the *Measured
+service throughput* table ``benchmarks/results/BENCH_service.json``,
+and the suite's *Measured wall-clock* table
+``benchmarks/results/BENCH_experiments.json``, at the tables'
+rounding, so the doc cannot drift from the artifacts it cites.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DOC = ROOT / "docs" / "PERFORMANCE.md"
 ARTIFACT = ROOT / "benchmarks" / "results" / "BENCH_kernels.json"
 SERVICE_ARTIFACT = ROOT / "benchmarks" / "results" / "BENCH_service.json"
+SUITE_ARTIFACT = ROOT / "benchmarks" / "results" / "BENCH_experiments.json"
 
 
 def doc_section(heading: str) -> str:
@@ -114,3 +116,43 @@ def test_service_table_names_the_artifacts_box():
     assert not report["quick"]
     assert f"{report['cpu_count']}-vCPU" in doc_section(
         "### Measured service throughput")
+
+
+def suite_rows() -> List[List[str]]:
+    """The suite table's rows formatted from its artifact."""
+    report = json.loads(SUITE_ARTIFACT.read_text(encoding="utf-8"))
+
+    def cells(stats) -> List[str]:
+        mapped_run = stats["mapped_cells"] - stats["mapped_hits"]
+        return [f"{stats['executed']} / {stats['cache_hits']}",
+                f"{mapped_run} / {stats['mapped_hits']}"]
+
+    return [
+        ["serial, no fabric", f"{report['serial_seconds']:.1f} s",
+         "baseline", "—", "—"],
+        ["parallel cold, fresh cache",
+         f"{report['parallel_cold_seconds']:.1f} s",
+         f"{report['parallel_speedup']:.2f}× speedup",
+         *cells(report["cold_stats"])],
+        ["parallel warm, same cache",
+         f"{report['parallel_warm_seconds']:.1f} s",
+         f"{100 * report['warm_fraction_of_cold']:.1f}% of cold",
+         *cells(report["warm_stats"])],
+    ]
+
+
+def test_suite_table_quotes_the_artifact():
+    assert table_rows("### Measured wall-clock") == suite_rows()
+
+
+def test_suite_table_names_the_artifacts_box_and_scale():
+    report = json.loads(SUITE_ARTIFACT.read_text(encoding="utf-8"))
+    scale = report["scale"]
+    section = doc_section("### Measured wall-clock")
+    assert f"{report['cpu_count']}-vCPU" in section
+    assert f"`--jobs {report['jobs']}`" in section
+    assert (f"{len(scale['benchmarks'])} benchmarks, "
+            f"{scale['short_intervals']} short and "
+            f"{scale['long_intervals']} long "
+            f"{scale['long_interval_length'] // 1000}K-event "
+            f"intervals") in section
